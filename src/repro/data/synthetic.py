@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset, DatasetSplits
 from repro.utils.rng import as_generator, spawn
@@ -46,6 +45,9 @@ class SyntheticConfig:
 
 def _class_prototypes(cfg: SyntheticConfig, rng) -> np.ndarray:
     """Build one smooth prototype image per class, shape (K, C, H, W)."""
+    # SciPy is the training extra: import it only where a dataset is built.
+    from scipy import ndimage
+
     k, c, s = cfg.num_classes, cfg.channels, cfg.image_size
     protos = np.empty((k, c, s, s))
     yy, xx = np.mgrid[0:s, 0:s].astype(np.float64) / s
