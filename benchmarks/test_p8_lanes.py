@@ -11,12 +11,9 @@ transitions:
 * **mixed city block 128** — batched vs per-device, measured fresh in
   the same run; the acceptance floor is a 3x speedup (measured ~3.8x on
   the reference container, up from ~1.1x at PR 5);
-* **pass collapse** — logical micro-steps (mode-invariant, scalar
-  equivalent) vs physical kernel passes on the same slice; the floor is
-  a 2x collapse (measured ~28x);
-* **kernel lanes** — the ``REPRO_KERNEL`` modes that ran, with numba
-  availability recorded so trajectory diffs know which lane produced
-  the numbers.
+* **pass collapse** — logical micro-steps (scalar equivalent) vs
+  physical kernel passes on the same slice; the floor is a 2x collapse
+  (measured ~28x).
 
 Results land in ``benchmarks/BENCH_p8_lanes.json`` (or
 ``benchmarks/.smoke/`` under ``BENCH_SMOKE=1``); the CI regression gate
@@ -31,7 +28,6 @@ from benchmarks.conftest import BENCH_SMOKE as SMOKE
 from benchmarks.conftest import bench_output_path, print_table, write_bench_json
 from repro.fleet import SCENARIOS, FleetRunner
 from repro.obs.recorder import Recorder, recording
-from repro.utils.kernelmode import numba_status, resolve_kernel_mode
 
 ROUNDS = 1 if SMOKE else 3
 DEVICES = 128
@@ -136,22 +132,9 @@ def test_p8_kernel_pass_collapse():
     )
 
 
-def test_p8_kernel_lanes():
-    """Record which REPRO_KERNEL lane produced the numbers above."""
-    available, detail = numba_status()
-    mode, mode_detail = resolve_kernel_mode()
-    _RESULTS["lanes"] = {
-        "mode": mode,
-        "detail": mode_detail,
-        "numba_available": available,
-        "numba_detail": detail,
-    }
-    print(f"\nP8 kernel lane: {mode} ({mode_detail})")
-
-
 def test_p8_write_bench_json():
     """Flush the machine-readable trajectory file (always runs last)."""
-    missing = {"cityblock128", "passes", "lanes"} - set(_RESULTS)
+    missing = {"cityblock128", "passes"} - set(_RESULTS)
     assert not missing, f"earlier P8 sections did not run: {sorted(missing)}"
     payload = {
         "bench": "p8_lanes",

@@ -32,7 +32,14 @@ import os
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigError, CorruptCellError
 from repro.faults.injector import get_fault_injector
-from repro.utils.sealed import _apply_save_faults, atomic_write_json, cell_checksum
+from repro.utils.sealed import (
+    SEAL_KEY,
+    _apply_save_faults,
+    atomic_write_json,
+    quarantine,
+    seal,
+    unseal,
+)
 
 
 class CampaignStore:
@@ -135,10 +142,8 @@ class CampaignStore:
         directives damage the artifact *after* the atomic write — the
         injected stand-in for bit rot and torn disks.
         """
-        body = dict(payload)
-        body["integrity"] = {"algo": "sha256", "digest": cell_checksum(payload)}
         path = self.cell_path(key)
-        atomic_write_json(path, body)
+        atomic_write_json(path, seal(payload)[0])
         injector = get_fault_injector()
         if injector.enabled:
             ops = [f.directive() for f in injector.poll("campaign.cell.save")]
@@ -190,17 +195,9 @@ class CampaignStore:
                     f"corrupt cell artifact {path!r}: expected a JSON object, "
                     f"got {type(body).__name__}"
                 )
-            integrity = body.pop("integrity", None)
-            if integrity is not None:
-                expected = integrity.get("digest")
-                actual = cell_checksum(body)
-                if actual != expected:
-                    raise CorruptCellError(
-                        f"corrupt cell artifact {path!r}: checksum mismatch "
-                        f"(stored {str(expected)[:12]}…, computed "
-                        f"{actual[:12]}…)"
-                    )
-            else:
+            legacy = SEAL_KEY not in body
+            expected, actual = unseal(body)
+            if legacy:
                 # Pre-checksum artifact: accepted, but never silently.
                 self.legacy_unverified += 1
                 from repro.obs.recorder import get_recorder
@@ -208,6 +205,12 @@ class CampaignStore:
                 metrics = get_recorder().metrics
                 if metrics is not None:
                     metrics.inc("campaign.cells.legacy_unverified")
+            elif actual != expected:
+                raise CorruptCellError(
+                    f"corrupt cell artifact {path!r}: checksum mismatch "
+                    f"(stored {str(expected)[:12]}…, computed "
+                    f"{actual[:12]}…)"
+                )
             return body
         raise ConfigError(
             f"cannot load cell artifact {path!r}: {last_os_error}"
@@ -220,12 +223,7 @@ class CampaignStore:
         and the cells directory no longer lists the key — so the resume
         loop re-executes exactly that cell.
         """
-        src = self.cell_path(key)
-        quarantine_dir = os.path.join(self.root, "quarantine")
-        os.makedirs(quarantine_dir, exist_ok=True)
-        dst = os.path.join(quarantine_dir, f"{key}.json")
-        os.replace(src, dst)
-        return dst
+        return quarantine(self.cell_path(key), os.path.join(self.root, "quarantine"))
 
     # ------------------------------------------------------------------ #
     # Run manifest (provenance of the latest run; never read by resume)

@@ -102,15 +102,11 @@ def _build_spec(args) -> FleetSpec:
 def _print_explain(spec: FleetSpec, engine: str) -> None:
     """Per-device engine-selection table: lockstep or fallback, and why."""
     from repro.sim.batch import _ineligibility
-    from repro.utils.kernelmode import KERNEL_ENV, resolve_kernel_mode
 
     print(
         f"fleet {spec.name!r}: engine selection for --engine {engine} "
         f"({spec.num_devices} devices)"
     )
-    if engine != "device":
-        mode, detail = resolve_kernel_mode()
-        print(f"  batched kernel: {mode} ({KERNEL_ENV}: {detail})")
     fallbacks = 0
     for device in spec.devices:
         found = None if engine == "device" else _ineligibility(device)

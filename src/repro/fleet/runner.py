@@ -1035,10 +1035,6 @@ class FleetRunner:
         metrics.set_gauge("fleet.workers", result.workers)
         metrics.set_gauge("fleet.parallel", bool(self.last_run_parallel))
         if self.engine != "device":
-            from repro.utils.kernelmode import resolve_kernel_mode
-
-            metrics.set_gauge("fleet.kernel", resolve_kernel_mode()[0])
-        if self.engine != "device":
             fallbacks = 0
             for device in self.spec.devices:
                 code = batch_ineligibility_code(device)

@@ -61,7 +61,6 @@ import json
 import multiprocessing
 import os
 import socket
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -83,7 +82,14 @@ from repro.fleet.spec import FleetSpec
 from repro.obs.profiler import memory_snapshot
 from repro.obs.recorder import get_recorder, set_recorder
 from repro.obs.tracing import span
-from repro.utils.sealed import _apply_save_faults, atomic_write_json, cell_checksum
+from repro.utils.sealed import (
+    _apply_save_faults,
+    atomic_write_json,
+    publish_json,
+    quarantine,
+    seal,
+    unseal,
+)
 
 #: Default lease time-to-live.  There is no lease renewal: the TTL must
 #: exceed one shard's runtime, so size shards for minutes, not hours.
@@ -418,28 +424,12 @@ class ShardLedger:
         A corrupt incumbent is quarantined and the publish retried (our
         copy is known-good).
         """
-        body = dict(payload)
-        body.pop("integrity", None)
-        digest = cell_checksum(body)
-        body["integrity"] = {"algo": "sha256", "digest": digest}
+        body, digest = seal(payload)
         path = self.shard_path(key)
         os.makedirs(self.shards_dir, exist_ok=True)
         injector = get_fault_injector()
         for _ in range(2):  # second pass only after quarantining a corrupt winner
-            fd, tmp = tempfile.mkstemp(dir=self.shards_dir, suffix=".tmp")
-            published = False
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(body, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                try:
-                    os.link(tmp, path)
-                    published = True
-                except FileExistsError:
-                    pass
-            finally:
-                os.unlink(tmp)
-            if published:
+            if publish_json(path, body):
                 if injector.enabled:
                     ops = [
                         f.directive() for f in injector.poll("fleet.shard.save")
@@ -502,9 +492,7 @@ class ShardLedger:
                     f"corrupt shard artifact {path!r}: expected a JSON "
                     f"object, got {type(body).__name__}"
                 )
-            integrity = body.pop("integrity", None)
-            expected = (integrity or {}).get("digest")
-            actual = cell_checksum(body)
+            expected, actual = unseal(body)
             if expected != actual:
                 raise CorruptShardError(
                     f"corrupt shard artifact {path!r}: checksum mismatch "
@@ -521,10 +509,7 @@ class ShardLedger:
 
     def quarantine_shard(self, key: str) -> str:
         """Move a corrupt artifact aside; the shard becomes re-executable."""
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        dst = os.path.join(self.quarantine_dir, f"{key}.json")
-        os.replace(self.shard_path(key), dst)
-        return dst
+        return quarantine(self.shard_path(key), self.quarantine_dir)
 
     # ---------------------------- leases ------------------------------ #
     def _try_lease(self, path: str, ttl_s: float) -> bool:

@@ -2,8 +2,8 @@
 
 A checkpoint is *not* a dump of engine internals — it is the twin's
 replayable op journal (create/submit/advance with exact executed step
-counts) plus a sha256 seal, reusing the atomic-write and checksum
-helpers of :mod:`repro.utils.sealed`.  Restore replays the journal through the same
+counts) plus a sha256 seal, written and verified by
+:mod:`repro.utils.sealed`.  Restore replays the journal through the same
 deterministic engines, so the restored twin's numpy state is
 bit-identical to the one that was checkpointed (enforced against the
 goldens in ``tests/test_gateway.py``).  The on-disk format is documented
@@ -17,7 +17,7 @@ import os
 
 from repro.errors import CorruptCellError, GatewayError
 from repro.gateway.twin import FleetTwin
-from repro.utils.sealed import atomic_write_json, cell_checksum
+from repro.utils.sealed import atomic_write_json, seal, unseal
 
 #: Stamped into every checkpoint; readers reject other formats.
 CHECKPOINT_FORMAT = "repro-gateway-checkpoint"
@@ -35,9 +35,8 @@ def save_checkpoint(twin: FleetTwin, path: str) -> dict:
         "steps_done": twin.steps_done,
         "journal": [dict(op) for op in twin.journal],
     }
-    digest = cell_checksum(payload)
-    payload["integrity"] = {"algo": "sha256", "digest": digest}
-    atomic_write_json(path, payload)
+    body, digest = seal(payload)
+    atomic_write_json(path, body)
     return {
         "path": os.path.abspath(path),
         "digest": digest,
@@ -72,13 +71,12 @@ def load_checkpoint(path: str) -> FleetTwin:
             f"checkpoint {path!r} has version {payload.get('version')!r}; "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    seal = payload.pop("integrity", None)
-    if not isinstance(seal, dict) or seal.get("algo") != "sha256":
+    stored, digest = unseal(payload)
+    if stored is None:
         raise CorruptCellError(f"checkpoint {path!r} has no sha256 seal")
-    digest = cell_checksum(payload)
-    if seal.get("digest") != digest:
+    if stored != digest:
         raise CorruptCellError(
             f"checkpoint {path!r} failed its checksum: sealed "
-            f"{seal.get('digest')!r} != computed {digest!r}"
+            f"{stored!r} != computed {digest!r}"
         )
     return FleetTwin.replay(payload.get("journal", []))

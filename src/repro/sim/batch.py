@@ -90,7 +90,6 @@ from repro.runtime.controller import CONTROLLER_KINDS
 from repro.runtime.incremental import CONTINUE_RULE_KINDS
 from repro.runtime.state import RuntimeStateBatch
 from repro.sim.results import RecordColumns, SimulationResult, percentile_dict
-from repro.utils.kernelmode import resolve_kernel_mode
 from repro.utils.rng import DrawBatch, as_generator
 
 #: miss_reason codes used in the packed record buffers (shared with
@@ -123,7 +122,7 @@ def _ineligibility(spec) -> Optional[tuple]:
         return (
             "trace-csv",
             "trace family 'csv' (file-backed, deliberately uncached; "
-            "per-device under every REPRO_KERNEL mode)",
+            "per-device)",
         )
     controller = dict(spec.controller)
     kind = controller.get("kind")
@@ -299,26 +298,6 @@ class BatchedFleetEngine:
             raise ConfigError("BatchedFleetEngine needs at least one device")
         prof = get_recorder().profiler
         t_build = time.perf_counter() if prof is not None else 0.0
-        # REPRO_KERNEL selection, resolved once per engine: "compiled"
-        # falls back to the numpy lanes (with the reason in
-        # ``kernel_detail``) when numba is missing, so the engine is
-        # always runnable and its results never depend on the mode.
-        self._kernel_mode, self._kernel_detail = resolve_kernel_mode()
-        self._sim_compiled = None
-        if self._kernel_mode == "compiled":
-            try:
-                from repro.sim import compiled as _sim_compiled
-
-                if _sim_compiled.HAVE_NUMBA:
-                    self._sim_compiled = _sim_compiled
-                else:  # pragma: no cover - resolve() already probed numba
-                    self._kernel_mode = "numpy"
-            except Exception as exc:  # pragma: no cover - broken install
-                self._kernel_mode = "numpy"
-                self._kernel_detail = (
-                    f"compiled requested but import failed ({exc!r}); "
-                    "using numpy"
-                )
         for _, spec, _ in tasks:
             reason = batch_ineligibility(spec)
             if reason is not None:
@@ -395,8 +374,7 @@ class BatchedFleetEngine:
             int_rows = np.nonzero(self._exec_int)[0]
             self._int_rows = int_rows
             self._int_kernel = IntermittentFleetKernel(
-                int_rows, [self.devices[r] for r in int_rows],
-                mode=self._kernel_mode,
+                int_rows, [self.devices[r] for r in int_rows]
             )
             self._int_events = np.ascontiguousarray(self._events[:, int_rows])
             self._int_cum = np.ascontiguousarray(self._cum_at_event[:, int_rows])
@@ -474,7 +452,6 @@ class BatchedFleetEngine:
             rec.metrics.inc(
                 "batch.engine.devices.intermittent", int(self._exec_int.sum())
             )
-            rec.metrics.inc(f"batch.kernel.{self._kernel_mode}")
         rs = _RunState()
         rs.prof = rec.profiler
         rs.t0 = time.perf_counter()
@@ -748,19 +725,7 @@ class BatchedFleetEngine:
         # Storage charging up to the event (precomputed increment).
         cum_j = self._cum_at_event[j]
         charging = proc & (te > t_charged)
-        if self._sim_compiled is not None:
-            # REPRO_KERNEL=compiled: row loop with the identical
-            # op sequence (non-charging rows only ever receive
-            # exact +0.0 identities on the numpy branches, so
-            # skipping them leaves the same bits).
-            ch_rows = np.nonzero(charging)[0]
-            if ch_rows.size:
-                self._sim_compiled.charge_rows(
-                    ch_rows, te, cum_j, t_charged, cum_charged,
-                    level, self._efficiency, self._capacity,
-                    self._leakage, no_leak,
-                )
-        elif full and charging.all():
+        if full and charging.all():
             inc = np.maximum(cum_j - cum_charged, 0.0)
             banked = inc * self._efficiency
             stored = np.minimum(banked, self._capacity - level)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.energy import EnergyStorage, constant_trace
 from repro.errors import ConfigError, SimulationError
+from repro.fleet import SCENARIOS, FleetRunner
 from repro.intermittent import MSP432, IntermittentExecutionEngine, MCUSpec
+from repro.obs.recorder import Recorder, recording
 
 
 class TestMCUSpec:
@@ -102,3 +104,21 @@ class TestIntermittentEngine:
         run = engine.run_inference(2.0, t_start=0.0, storage=storage)
         assert run.completed
         assert run.power_cycles == 1
+
+
+class TestPassCounts:
+    def test_event_batching_collapses_kernel_passes(self):
+        """The profiled city-block-128 shape: logical micro-steps stay at
+        the scalar-equivalent count, while physical kernel passes collapse
+        by at least 2x — the whole point of fusing micro-steps that cannot
+        cross a power boundary.  (The measured collapse is ~28x; 2x is the
+        regression floor.)"""
+        spec = SCENARIOS.build("city-block-1k", num_devices=128)
+        rec = Recorder(metrics=True, profile=True)
+        with recording(rec):
+            FleetRunner(spec, workers=1, engine="batched").run()
+        counts = rec.profiler.to_dict()["counts"]
+        micro = counts["intermittent.micro_passes"]
+        physical = counts["intermittent.kernel_passes"]
+        assert micro > 0 and physical > 0
+        assert physical * 2 <= micro

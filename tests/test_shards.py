@@ -358,6 +358,9 @@ class TestShardChaos:
     def test_save_corruption_heals_to_identity(self, tmp_path, baseline):
         spec, expected = baseline
         plan = FaultPlan([
+            # Two faults on one save: the bitflip meets a 0-byte file.
+            Fault(site="fleet.shard.save", when=0, op="empty"),
+            Fault(site="fleet.shard.save", when=0, op="bitflip"),
             Fault(site="fleet.shard.save", when=1, op="bitflip",
                   params={"offset_frac": 0.4}),
             Fault(site="fleet.shard.save", when=2, op="empty"),
