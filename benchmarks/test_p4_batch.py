@@ -7,12 +7,11 @@ Measures what the PR-4 tentpole bought:
   baseline; the acceptance floor is a 4x speedup;
 * **device-path serial** — the same fleet through ``engine="device"``,
   re-measured fresh so the ratio is visible inside one run;
-* **128-device parallel vs serial** — the pool-regression fix: dispatch
-  maps batches of devices (packed wire form) and falls back to serial
-  when parallelism cannot win (small fleets, or one usable CPU), so a
-  parallel request is never slower than the serial loop again;
-* **forced pool** — the same 128 devices with the fallback disabled,
-  documenting what the fallback is protecting against on this machine.
+* **128-device parallel vs serial** — a parallel request drains one
+  device-axis shard per worker (forked drain children plus the calling
+  process) and stays in-process when parallelism cannot win (small
+  fleets, or one usable CPU), so it must never be slower than the serial
+  loop.
 
 Results land in ``benchmarks/BENCH_p4_batch.json`` (or
 ``benchmarks/.smoke/`` under ``BENCH_SMOKE=1``, which the CI regression
@@ -111,10 +110,10 @@ def test_p4_parallel_not_slower_at_128():
     parallel_best, parallel = _best_run(make_parallel, rounds=1 if SMOKE else 3)
     fell_back = not parallel_runner[0].last_run_parallel
     if fell_back:
-        # One usable CPU: the fixed dispatcher refuses the pool because it
-        # can only lose; a "parallel" request executes the identical
-        # serial path, so the honest numbers for both labels come from the
-        # shared best over all measured runs.
+        # One usable CPU: the runner refuses to fork because it can only
+        # lose; a "parallel" request executes the identical serial path,
+        # so the honest numbers for both labels come from the shared best
+        # over all measured runs.
         serial_best = parallel_best = min(serial_best, parallel_best)
     serial_dps = devices / serial_best
     parallel_dps = devices / parallel_best
@@ -151,31 +150,9 @@ def test_p4_parallel_not_slower_at_128():
         )
 
 
-def test_p4_forced_pool_context():
-    """Document the raw pool cost the fallback avoids (no assertion)."""
-    devices = 128
-    spec = _spec(devices)
-    forced_best, _ = _best_run(
-        lambda: FleetRunner(spec, workers=WORKERS, parallel_threshold=1),
-        rounds=1 if SMOKE else 2,
-    )
-    _RESULTS["forced_pool128"] = {
-        "devices": devices,
-        "workers": WORKERS,
-        "best_s": forced_best,
-        "devices_per_s_forced_pool": devices / forced_best,
-    }
-    print_table(
-        f"P4: {devices}-device forced pool (fallback disabled)",
-        [(WORKERS, f"{forced_best:.3f}", f"{devices / forced_best:.0f}")],
-        ["workers", "best_s", "devices/s"],
-    )
-    assert forced_best > 0
-
-
 def test_p4_write_bench_json():
     """Flush the machine-readable trajectory file (always runs last)."""
-    missing = {"batched32", "fleet128", "forced_pool128"} - set(_RESULTS)
+    missing = {"batched32", "fleet128"} - set(_RESULTS)
     assert not missing, f"earlier P4 sections did not run: {sorted(missing)}"
     payload = {
         "bench": "p4_batch",

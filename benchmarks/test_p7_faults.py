@@ -12,9 +12,9 @@ polling), and the off best must stay within 2% of the armed best.  See
 hopeless at the 2% level on shared CI hardware.
 
 A second section records (never gates — recovery wall time is
-timeout-dominated and host-dependent) the measured cost of surviving a
-real injected worker crash on the pooled path, plus the retry counters
-that prove the recovery actually happened.
+lease-TTL-dominated and host-dependent) the measured cost of surviving a
+dead drain worker on the shard path, plus the lease-steal counter that
+proves the recovery actually happened.
 """
 
 from __future__ import annotations
@@ -23,8 +23,15 @@ import json
 
 from benchmarks.conftest import BENCH_SMOKE as SMOKE
 from benchmarks.conftest import bench_output_path, print_table, write_bench_json
-from repro.faults import Fault, FaultPlan, RetryPolicy, chaos
-from repro.fleet import SCENARIOS, FleetRunner
+from repro.faults import Fault, FaultPlan, chaos
+from repro.fleet import (
+    SCENARIOS,
+    FleetRunner,
+    FleetShardSource,
+    ShardLedger,
+    run_sharded,
+)
+from repro.fleet.shards import shard_key
 from repro.obs.recorder import Recorder, recording
 
 ROUNDS = 1 if SMOKE else 7
@@ -107,49 +114,50 @@ def test_p7_chaos_off_overhead_and_identity():
         )
 
 
-def test_p7_crash_recovery_cost():
-    """Record (not gate) what surviving one worker crash costs pooled.
+def test_p7_crash_recovery_cost(tmp_path):
+    """Record (not gate) what surviving one dead drain worker costs.
 
-    The recovery is timeout-bound (the watchdog must expire before the
-    lost chunk is re-dispatched), so the interesting outputs are the
-    ratio, the configured timeout, and the counters proving the retry
-    machinery — not an asserted threshold.
+    A worker that dies mid-shard leaves its lease behind; the surviving
+    drain waits out the lease TTL, steals the shard and re-executes it.
+    The recovery is TTL-bound, so the interesting outputs are the ratio,
+    the configured TTL, and the steal counter proving the recovery
+    happened — not an asserted threshold.
     """
     spec = _spec()
-    timeout_s = 0.75
-    policy = RetryPolicy(max_retries=2, worker_timeout=timeout_s, backoff_s=0.0)
-    runner_kwargs = dict(workers=2, parallel_threshold=1, retry=policy)
+    source = FleetShardSource(spec)
+    ttl_s = 0.25
+    clean = run_sharded(source, str(tmp_path / "clean"), shards=2,
+                        lease_ttl_s=ttl_s)
 
-    clean = FleetRunner(spec, **runner_kwargs).run()
-
-    plan = FaultPlan([Fault("fleet.chunk", 0, "crash")])
-    with recording(Recorder(metrics=True)) as rec, chaos(plan):
-        crashed = FleetRunner(spec, **runner_kwargs).run()
-    timeouts = rec.metrics.counter_value("fleet.retry.timeouts")
-    retries = rec.metrics.counter_value("fleet.retry.attempts")
-    assert timeouts >= 1 and retries >= 1, "crash recovery never engaged"
-    assert json.dumps(clean.to_dict(), sort_keys=True) == json.dumps(
-        crashed.to_dict(), sort_keys=True
-    ), "recovered run diverged from the clean pooled run"
+    # The dead worker: another ledger owner holds shard 0's lease and
+    # never publishes.
+    crashed_dir = str(tmp_path / "crashed")
+    assert ShardLedger(crashed_dir).claim(shard_key(0, DEVICES // 2), ttl_s)
+    with recording(Recorder(metrics=True)) as rec:
+        crashed = run_sharded(source, crashed_dir, shards=2, lease_ttl_s=ttl_s)
+    stolen = rec.metrics.counter_value("fleet.shard.leases_stolen")
+    assert stolen >= 1, "crash recovery never engaged"
+    assert json.dumps(clean.aggregate(), sort_keys=True) == json.dumps(
+        crashed.aggregate(), sort_keys=True
+    ), "recovered run diverged from the clean sharded run"
 
     _RESULTS["recovery"] = {
         "devices": DEVICES,
-        "worker_timeout_s": timeout_s,
-        "clean_pooled_s": clean.wall_s,
+        "lease_ttl_s": ttl_s,
+        "clean_sharded_s": clean.wall_s,
         "crash_recovered_s": crashed.wall_s,
         "recovery_overhead_x": crashed.wall_s / clean.wall_s,
-        "retry_timeouts": timeouts,
-        "retry_attempts": retries,
+        "leases_stolen": stolen,
     }
     ratio = crashed.wall_s / clean.wall_s
     print_table(
-        f"P7: {DEVICES}-device pooled fleet, one SIGKILL'd chunk "
-        f"(watchdog {timeout_s:.2f}s)",
+        f"P7: {DEVICES}-device sharded fleet, one dead drain worker "
+        f"(lease TTL {ttl_s:.2f}s)",
         [
-            ("clean pooled", f"{clean.wall_s * 1e3:.1f}", "-"),
-            ("crash + recover", f"{crashed.wall_s * 1e3:.1f}", f"{ratio:.2f}x"),
+            ("clean", f"{clean.wall_s * 1e3:.1f}", "-"),
+            ("steal + recover", f"{crashed.wall_s * 1e3:.1f}", f"{ratio:.2f}x"),
         ],
-        ["pooled run", "wall_ms", "vs clean"],
+        ["sharded run", "wall_ms", "vs clean"],
     )
 
 

@@ -3,10 +3,11 @@
 Four stops on the :mod:`repro.faults` line:
 
 1. arm a handcrafted :class:`FaultPlan` around a serial fleet run and
-   watch the dispatcher absorb every fault — the report is byte-identical
-   to a fault-free run;
-2. crash a pool worker mid-chunk (the watchdog times the chunk out,
-   re-dispatches it, and the digests still match bit-for-bit);
+   watch the recovery ladder absorb every fault — the report is
+   byte-identical to a fault-free run;
+2. leave a dead drain worker's lease in a shard ledger (the survivor
+   waits out the lease TTL, steals the shard, and the merged report
+   still matches bit-for-bit);
 3. sabotage a campaign checkpoint on disk, then let ``--resume``
    detect, quarantine, and re-run just the damaged cell;
 4. exhaust the retry budget on purpose and read the quarantine ledger —
@@ -23,7 +24,14 @@ import tempfile
 
 from repro.campaign import CAMPAIGNS, CampaignRunner, CampaignStore, run_campaign
 from repro.faults import Fault, FaultPlan, RetryPolicy, chaos
-from repro.fleet import SCENARIOS, FleetRunner
+from repro.fleet import (
+    SCENARIOS,
+    FleetRunner,
+    FleetShardSource,
+    ShardLedger,
+    run_sharded,
+)
+from repro.fleet.shards import shard_key
 from repro.obs import Recorder, recording
 
 
@@ -56,28 +64,33 @@ def serial_fleet_survives_a_plan():
     assert identical and chaotic.failures == []
 
 
-def pooled_crash_and_watchdog():
-    """A worker dies mid-chunk; the straggler watchdog re-dispatches."""
-    print("\n== pooled fleet, one crashed worker ==")
+def dead_worker_lease_is_stolen():
+    """A drain worker died holding a shard; its lease expires and is stolen."""
+    print("\n== sharded fleet, one dead drain worker ==")
     spec = SCENARIOS.build("solar-farm-100", num_devices=16)
-    kwargs = dict(
-        workers=2,
-        parallel_threshold=1,
-        retry=RetryPolicy(max_retries=2, worker_timeout=1.5, backoff_s=0.0),
+    root = tempfile.mkdtemp(prefix="chaos-demo-ledger-")
+    try:
+        clean = run_sharded(
+            FleetShardSource(spec), os.path.join(root, "clean"), shards=2
+        )
+        # The dead worker: another ledger owner claimed shard 0, then
+        # never published it.
+        crashed = os.path.join(root, "crashed")
+        ShardLedger(crashed).claim(shard_key(0, 8), ttl_s=0.25)
+        with recording(Recorder(metrics=True)) as rec:
+            recovered = run_sharded(
+                FleetShardSource(spec), crashed, shards=2, lease_ttl_s=0.25
+            )
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+    stolen = rec.metrics.counter_value("fleet.shard.leases_stolen")
+    print(f"  leases stolen: {stolen}")
+    identical = json.dumps(clean.aggregate(), sort_keys=True) == json.dumps(
+        recovered.aggregate(), sort_keys=True
     )
-    clean = FleetRunner(spec, **kwargs).run()
-
-    plan = FaultPlan([Fault("fleet.chunk", 0, "crash")])
-    with recording(Recorder(metrics=True)) as rec, chaos(plan):
-        recovered = FleetRunner(spec, **kwargs).run()
-
-    counters = rec.metrics.to_dict()["counters"]
-    for name in sorted(counters):
-        if name.startswith(("fault.injected.", "fleet.retry.")):
-            print(f"  {name:<40} {counters[name]}")
-    identical = fleet_bytes(clean) == fleet_bytes(recovered)
-    print(f"  report byte-identical after the crash: {identical}")
-    assert identical
+    print(f"  report byte-identical after the steal: {identical}")
+    assert identical and stolen == 1
 
 
 def checkpoint_rot_heals_on_resume():
@@ -131,7 +144,7 @@ def graceful_quarantine():
 
 if __name__ == "__main__":
     serial_fleet_survives_a_plan()
-    pooled_crash_and_watchdog()
+    dead_worker_lease_is_stolen()
     checkpoint_rot_heals_on_resume()
     graceful_quarantine()
     print("\nchaos demo complete: every report matched, every wound healed.")

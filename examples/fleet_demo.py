@@ -5,7 +5,8 @@ Three ways to drive :mod:`repro.fleet`:
 1. run a registered scenario by name (what the CLI does);
 2. compose a custom heterogeneous fleet from :class:`DeviceSpec`s and
    round-trip it through JSON;
-3. scale workers and verify the parallel run is bit-identical to serial.
+3. scale workers — one device-axis shard per drain process — and verify
+   the parallel run is bit-identical to serial.
 
 Run:  python examples/fleet_demo.py
 """
@@ -72,14 +73,22 @@ def run_custom_fleet():
 
 
 def run_parallel_equivalence():
-    """Worker count changes wall time, never results."""
+    """Worker count changes wall time, never results.
+
+    ``workers=2`` drains two shards (a forked child plus this process)
+    through a throwaway ledger; a one-CPU machine runs it in-process.
+    """
     print("\n== parallel == serial (deterministic per-device seeding) ==")
     spec = SCENARIOS.build("indoor-rf-swarm", num_devices=16)
     serial = FleetRunner(spec, workers=1).run()
-    parallel = FleetRunner(spec, workers=2).run()
+    runner = FleetRunner(spec, workers=2)
+    parallel = runner.run()
     report(serial)
     report(parallel)
-    match = json.dumps(serial.to_dict()) == json.dumps(parallel.to_dict())
+    print(f"  parallel run drained shards: {runner.last_run_parallel}")
+    match = json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
+        parallel.to_dict(), sort_keys=True
+    )
     print(f"  aggregate reports identical: {match}")
 
 

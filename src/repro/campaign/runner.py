@@ -14,15 +14,18 @@ Two properties matter more than speed:
 * **determinism** — cell payloads carry only seed-pinned content, so
   resumed, re-ordered, or re-run campaigns aggregate byte-identically.
 
-Parallel campaigns reuse one :func:`~repro.fleet.runner.worker_pool`
-across *all* cells, so the per-process trace memo cache in the workers
-stays warm between cells that share harvesting environments (the same
-(family, params, seed) appears once per seed, not once per controller).
+Parallel campaigns pass ``workers`` to each cell's
+:class:`~repro.fleet.runner.FleetRunner`, which drains the cell's fleet
+over forked processes when it is large enough to pay for them.  Forked
+children inherit the parent's per-process trace memo, so cells that
+share harvesting environments still hit it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 from dataclasses import replace
 from typing import Optional
 
@@ -31,7 +34,7 @@ from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.errors import ConfigError, CorruptCellError
 from repro.faults.retry import RetryPolicy
-from repro.fleet.runner import FleetRunner, worker_pool
+from repro.fleet.runner import FleetRunner
 from repro.obs.recorder import get_recorder
 from repro.obs.tracing import span
 from repro.fleet.scenarios import SCENARIOS
@@ -55,31 +58,30 @@ def _run_cell_sharded(cell, fleet_spec, engine, retry, shard_devices, shard_root
     the cell artifact itself.  ``resume=True`` because re-entering a cell
     whose ledger happens to be complete (the cell artifact was corrupt or
     the crash hit between ledger merge and checkpoint write) is exactly
-    the recovery path, never an accident worth refusing.
+    the recovery path, never an accident worth refusing.  A campaign
+    without a store drains each cell through a temporary ledger that is
+    removed after the merge.
     """
-    import tempfile as _tempfile
-
     from repro.fleet.shards import FleetShardSource, run_sharded
 
-    ledger_dir = (
-        os.path.join(shard_root, cell.key)
-        if shard_root is not None
-        else _tempfile.mkdtemp(prefix=f"shard-{cell.key}-")
-    )
-    return run_sharded(
-        FleetShardSource(fleet_spec),
-        ledger_dir,
-        shard_width=int(shard_devices),
-        engine=engine,
-        retry=retry,
-        resume=True,
-    )
+    if shard_root is not None:
+        ledger = contextlib.nullcontext(os.path.join(shard_root, cell.key))
+    else:
+        ledger = tempfile.TemporaryDirectory(prefix=f"shard-{cell.key}-")
+    with ledger as ledger_dir:
+        return run_sharded(
+            FleetShardSource(fleet_spec),
+            ledger_dir,
+            shard_width=int(shard_devices),
+            engine=engine,
+            retry=retry,
+            resume=True,
+        )
 
 
 def run_cell(
     cell: CampaignCell,
     workers: int = 1,
-    pool=None,
     engine: str = "auto",
     retry: Optional[RetryPolicy] = None,
     shard_devices: Optional[int] = None,
@@ -130,7 +132,7 @@ def run_cell(
                 },
             }
         runner = FleetRunner(fleet_spec, workers=workers, engine=engine, retry=retry)
-        result = runner.run(pool=pool)
+        result = runner.run()
     payload = {
         "key": cell.key,
         "scenario_label": cell.scenario_label,
@@ -243,7 +245,7 @@ class CampaignRunner:
         legacy_before = self.store.legacy_unverified if self.store else 0
         with span(
             "campaign.run", campaign=self.spec.name, cells=len(cells)
-        ), worker_pool(self.workers) as pool:
+        ):
             for cell in cells:
                 if cell.key in done:
                     payload = self._load_checkpoint(cell, progress)
@@ -259,7 +261,6 @@ class CampaignRunner:
                 payload = run_cell(
                     cell,
                     workers=self.workers,
-                    pool=pool,
                     engine=self.engine,
                     retry=self.retry,
                     shard_devices=self.shard_devices,

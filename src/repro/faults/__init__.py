@@ -12,7 +12,7 @@ standard:
   default (chaos off costs one attribute read), installed via
   :func:`chaos`;
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`, the bounded-retry /
-  watchdog-timeout / backoff knobs threaded through
+  backoff knobs threaded through
   :class:`~repro.fleet.runner.FleetRunner` and
   :class:`~repro.campaign.runner.CampaignRunner`.
 
@@ -32,14 +32,9 @@ from repro.faults.injector import (
     set_fault_injector,
 )
 from repro.faults.plan import FAULT_SITES, Fault, FaultPlan
-from repro.faults.retry import (
-    DEFAULT_CHAOS_TIMEOUT_S,
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-)
+from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
-    "DEFAULT_CHAOS_TIMEOUT_S",
     "DEFAULT_RETRY_POLICY",
     "FAULT_SITES",
     "Fault",

@@ -6,12 +6,11 @@ and every injection point in the dispatch/store stack reduces to one
 attribute read when chaos is off — the ≤2% no-op gate in
 ``benchmarks/test_p7_faults.py`` holds the production paths to that.
 
-The injector never *applies* faults itself at fleet dispatch sites: the
-parent-side dispatcher polls it once per site occurrence, and the
-returned directives ship to the executing process with the work (so
-injection stays deterministic under fork *or* spawn, any worker count,
-and any scheduling).  Store sites apply their directives in place, since
-the store always runs in the polling process.
+The injector never *applies* faults itself: each site polls it once per
+occurrence and applies the returned directives in the polling process.
+Only the process that armed a plan polls it — forked shard-drain
+children disarm their inherited copy — so one plan fires each fault
+once, however many processes a run forks.
 
 Usage::
 

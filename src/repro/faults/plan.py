@@ -12,12 +12,12 @@ leaves the final report byte-identical to a fault-free run.
 
 Sites and their ops:
 
-* ``fleet.chunk`` — polled once per chunk dispatch attempt (parent
-  side); ops: ``crash`` (worker ``os._exit``), ``exception`` (raise
-  :class:`~repro.errors.InjectedFault`), ``hang`` (sleep ``seconds``
-  then complete — a straggler), ``oserror`` (transient
-  :class:`OSError`), ``corrupt_payload`` (bit-flip the packed wire
-  payload after its digest is sealed).
+* ``fleet.chunk`` — polled once per in-process execution attempt of
+  the recovery ladder, by the process that armed the plan (drain
+  children run disarmed); ops: ``crash``, ``exception`` and ``hang``
+  (each raises :class:`~repro.errors.InjectedFault`), ``oserror``
+  (transient :class:`OSError`), ``corrupt_payload`` (bit-flip the
+  packed payload after its digest is sealed, caught on verify).
 * ``campaign.cell.save`` — polled once per checkpoint write; ops:
   ``truncate`` (keep ``keep_frac`` of the file), ``bitflip`` (flip one
   byte at ``offset_frac``), ``empty`` (0-byte file, the

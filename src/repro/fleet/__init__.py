@@ -13,9 +13,10 @@ package layers that on top of :mod:`repro.sim`:
 * :mod:`repro.fleet.runner` — :class:`FleetRunner`, which executes devices
   through the lockstep batched engine (:mod:`repro.sim.batch`) or the
   per-device simulator (``engine="auto"|"batched"|"device"``, all
-  bit-identical), serially or over ``multiprocessing`` in device batches,
-  with deterministic per-device seeding (worker count never changes
-  results) and a serial fallback whenever pool dispatch cannot win;
+  bit-identical), in-process or — with ``workers > 1`` — over forked
+  drain processes that each take a device-axis shard, with deterministic
+  per-device seeding (worker count never changes results) and an
+  in-process fallback whenever forking cannot win;
 * :mod:`repro.fleet.results` — :class:`DeviceResult` / :class:`FleetResult`
   aggregation (fleet IEpmJ, miss-reason breakdowns, percentile spreads);
 * :mod:`repro.fleet.shards` — crash-safe scale-out: split a fleet into
@@ -25,7 +26,7 @@ package layers that on top of :mod:`repro.sim`:
 
 CLI: ``python -m repro.fleet run solar-farm-100 --workers 4 --json out.json``
 or, sharded: ``python -m repro.fleet run brownout-grid-256 --shards 8
---ledger led/ --shard-workers 4``.
+--ledger led/ --workers 4``.
 """
 
 from repro.fleet.results import (
@@ -39,7 +40,6 @@ from repro.fleet.runner import (
     run_device,
     run_device_batch,
     run_fleet,
-    worker_pool,
 )
 from repro.fleet.scenarios import SCENARIOS, ScenarioRegistry
 from repro.fleet.shards import (
@@ -71,5 +71,4 @@ __all__ = [
     "run_device_batch",
     "run_fleet",
     "run_sharded",
-    "worker_pool",
 ]

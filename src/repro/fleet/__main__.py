@@ -7,22 +7,24 @@
     python -m repro.fleet run solar-farm-100 --trace-out run.jsonl \
         --metrics-out metrics.json [--profile]
     python -m repro.fleet run brownout-grid-256 --shards 8 \
-        --ledger led/ --shard-workers 4 --json out.json
+        --ledger led/ --workers 4 --json out.json
     python -m repro.fleet run brownout-grid-256 --ledger led/ --resume
 
 ``run`` executes a named scenario (or a ``--spec`` JSON file exported by
 ``show``), prints the fleet report, and optionally dumps the full JSON
 report.  The JSON payload is deterministic in (scenario, seed): worker
-count and chunking never change it, only the ``--timing`` section.
+count and sharding never change it, only the ``--timing`` section.
 
-Sharded execution (``--shards``/``--shard-width`` + ``--ledger``) splits
-the fleet along the device axis and checkpoints one sealed artifact per
-completed shard into the ledger directory.  Kill the process — or any
-``--shard-workers`` child — at any point and a later invocation with the
-same ``--ledger`` (plus ``--resume`` once complete) re-runs only the
-unfinished shards; the merged report is byte-identical to an unsharded
-run.  ``--max-rss-mb`` bounds memory by halving the execution sub-batch
-width under pressure (results unchanged).
+``--workers N`` is the one process-count flag.  Sharded execution
+(``--shards``/``--shard-width`` + ``--ledger``) splits the fleet along
+the device axis and checkpoints one sealed artifact per completed shard
+into the ledger directory, drained by N work-stealing processes.  Kill
+the process — or any drain child — at any point and a later invocation
+with the same ``--ledger`` (plus ``--resume`` once complete) re-runs
+only the unfinished shards; the merged report is byte-identical to an
+unsharded run.  An unsharded ``--workers N`` run drains the same way
+through a throwaway ledger.  ``--max-rss-mb`` bounds memory by halving
+the execution sub-batch width under pressure (results unchanged).
 
 Observability (all off by default, and guaranteed not to change results):
 ``--trace-out`` streams span records as JSON lines (first line: the run's
@@ -46,6 +48,12 @@ from repro.errors import ConfigError, ReproError
 from repro.faults import FaultPlan, RetryPolicy, chaos
 from repro.fleet.runner import FleetRunner
 from repro.fleet.scenarios import SCENARIOS
+from repro.fleet.shards import (
+    DEFAULT_LEASE_TTL_S,
+    FleetShardSource,
+    ScenarioShardSource,
+    run_sharded,
+)
 from repro.fleet.spec import FleetSpec
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import Recorder, recording
@@ -56,8 +64,6 @@ def build_retry_policy(args) -> RetryPolicy | None:
     overrides = {}
     if getattr(args, "max_retries", None) is not None:
         overrides["max_retries"] = args.max_retries
-    if getattr(args, "worker_timeout", None) is not None:
-        overrides["worker_timeout"] = args.worker_timeout
     return RetryPolicy(**overrides) if overrides else None
 
 
@@ -70,10 +76,6 @@ def add_fault_flags(parser) -> None:
     parser.add_argument(
         "--max-retries", type=int, default=None,
         help="retries per dispatch chunk before escalation (default 2)")
-    parser.add_argument(
-        "--worker-timeout", type=float, default=None, metavar="SECONDS",
-        help="straggler watchdog: re-dispatch a pooled chunk attempt that "
-             "exceeds this (default: none, or 30s under --chaos)")
 
 
 def _build_spec(args) -> FleetSpec:
@@ -131,23 +133,72 @@ def _print_explain(spec: FleetSpec, engine: str) -> None:
         )
 
 
-def _run_manifest(spec: FleetSpec, args) -> dict:
-    return build_manifest(
-        fleet=spec.name,
-        devices=spec.num_devices,
-        seed=spec.seed,
-        scenario_digest=spec.digest(),
-        engine=args.engine,
-        workers=args.workers,
-    )
+def _run_observed(args, plan, source, execute, report) -> int:
+    """Run ``execute()`` under ``--chaos`` and the observability flags.
+
+    ``source`` (a shard source) names the run in the provenance manifest.
+    ``report(result)`` prints the human report; the ``--json`` report,
+    the trace and the ``--metrics-out`` summary are written after it.
+    """
+    recorder = manifest = None
+    if args.trace_out or args.metrics_out or args.profile:
+        manifest = build_manifest(
+            fleet=source.name,
+            devices=source.num_devices,
+            seed=source.seed,
+            scenario_digest=source.source_digest(),
+            engine=args.engine,
+            workers=args.workers,
+        )
+        recorder = Recorder(
+            metrics=True, trace=args.trace_out, profile=args.profile
+        )
+        if recorder.trace is not None:
+            recorder.trace.emit({"type": "manifest", **manifest})
+    with chaos(plan) as injector:
+        if recorder is None:
+            result = execute()
+        else:
+            with recording(recorder):
+                result = execute()
+            recorder.close()
+    if args.chaos:
+        fired = sum(injector.fired_summary().values())
+        print(f"chaos: {len(plan)} fault(s) planned, {fired} injected")
+    report(result)
+    if args.json:
+        result.to_json(args.json, include_timing=args.timing)
+        print(f"wrote JSON report to {args.json}")
+    if recorder is not None:
+        if args.trace_out:
+            print(f"wrote trace to {args.trace_out}")
+        if args.metrics_out:
+            payload = {"manifest": manifest}
+            payload.update(recorder.to_dict())
+            with open(args.metrics_out, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"wrote metrics to {args.metrics_out}")
+    return 0
 
 
-def _print_report(result, quiet: bool) -> None:
-    agg = result.aggregate()
-    print(f"fleet {agg['fleet']!r}: {agg['devices']} devices, seed {agg['seed']}")
+def _print_failures(agg: dict) -> None:
+    for failure in agg.get("failures", ()):
+        print(
+            f"  ! quarantined {failure['name']} (device {failure['index']}) "
+            f"after {failure['attempts']} attempt(s) at stage "
+            f"{failure['stage']}: {failure['error']}",
+            file=sys.stderr,
+        )
+
+
+def _print_totals(agg: dict) -> None:
+    # Sorted: a report rebuilt from shard artifacts (sorted JSON) must
+    # print the same line as an in-process run.
+    misses = dict(sorted(agg["miss_counts"].items()))
     print(
         f"  events {agg['events']}  processed {agg['processed']}  "
-        f"missed {agg['missed']} {agg['miss_counts']}  correct {agg['correct']}"
+        f"missed {agg['missed']} {misses}  correct {agg['correct']}"
     )
     print(
         f"  fleet IEpmJ {agg['fleet_iepmj']:.4f}  "
@@ -155,10 +206,17 @@ def _print_report(result, quiet: bool) -> None:
         f"device IEpmJ p10/p50/p90 "
         + "/".join(f"{v:.3f}" for v in agg["device_iepmj_percentiles"].values())
     )
+
+
+def _print_report(result, quiet: bool) -> None:
+    agg = result.aggregate()
+    print(f"fleet {agg['fleet']!r}: {agg['devices']} devices, seed {agg['seed']}")
+    _print_totals(agg)
     print(
         f"  wall {result.wall_s:.2f}s with {result.workers} worker(s) "
         f"({result.devices_per_second:.1f} devices/s)"
     )
+    _print_failures(agg)
     if quiet:
         return
     print(f"  {'device':<18} {'profile':<18} {'IEpmJ':>7} {'acc':>6} "
@@ -171,24 +229,29 @@ def _print_report(result, quiet: bool) -> None:
         )
 
 
+def _print_sharded_report(result, ledger: str) -> None:
+    agg = result.aggregate()
+    print(
+        f"fleet {agg['fleet']!r}: {agg['devices']} devices, seed "
+        f"{agg['seed']} — sharded x{result.num_shards} via {ledger}"
+    )
+    _print_totals(agg)
+    print(
+        f"  shards: {result.shards_executed} executed, "
+        f"{result.shards_resumed} resumed from ledger, "
+        f"{result.shards_stolen} lease(s) stolen, "
+        f"{result.degraded} degradation(s); wall {result.wall_s:.2f}s "
+        f"with {result.workers} worker(s)"
+    )
+    _print_failures(agg)
+
+
 def _run_sharded_cli(args, plan) -> int:
     """The ``run --shards/--ledger`` path: ledger-checkpointed execution."""
-    from repro.fleet.shards import (
-        DEFAULT_LEASE_TTL_S,
-        FleetShardSource,
-        ScenarioShardSource,
-        run_sharded,
-    )
-
     if args.ledger is None:
         raise ConfigError(
             "sharded execution checkpoints into a durable ledger; pass "
             "--ledger DIR alongside --shards/--shard-width/--resume"
-        )
-    if args.workers > 1:
-        raise ConfigError(
-            "--workers parallelizes an unsharded run; sharded runs "
-            "scale out with --shard-workers instead"
         )
     if args.spec:
         source = FleetShardSource(_build_spec(args))
@@ -203,90 +266,27 @@ def _run_sharded_cli(args, plan) -> int:
         if args.duration is not None:
             overrides["duration"] = args.duration
         source = ScenarioShardSource(args.scenario, overrides)
-    recorder = None
-    if args.trace_out or args.metrics_out or args.profile:
-        recorder = Recorder(
-            metrics=True, trace=args.trace_out, profile=args.profile
-        )
-        if recorder.trace is not None:
-            recorder.trace.emit({
-                "type": "manifest",
-                **build_manifest(
-                    fleet=source.name,
-                    devices=source.num_devices,
-                    seed=source.seed,
-                    scenario_digest=source.source_digest(),
-                    engine=args.engine,
-                    workers=args.shard_workers,
-                ),
-            })
-    kwargs = dict(
-        shards=args.shards,
-        shard_width=args.shard_width,
-        engine=args.engine,
-        workers=args.shard_workers,
-        resume=args.resume,
-        retry=build_retry_policy(args),
-        max_rss_mb=args.max_rss_mb,
-        lease_ttl_s=(
-            args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL_S
+    return _run_observed(
+        args,
+        plan,
+        source,
+        lambda: run_sharded(
+            source,
+            args.ledger,
+            shards=args.shards,
+            shard_width=args.shard_width,
+            engine=args.engine,
+            workers=max(args.workers, 1),
+            resume=args.resume,
+            retry=build_retry_policy(args),
+            max_rss_mb=args.max_rss_mb,
+            lease_ttl_s=(
+                args.lease_ttl if args.lease_ttl is not None
+                else DEFAULT_LEASE_TTL_S
+            ),
         ),
+        lambda result: _print_sharded_report(result, args.ledger),
     )
-    with chaos(plan) as injector:
-        if recorder is None:
-            result = run_sharded(source, args.ledger, **kwargs)
-        else:
-            with recording(recorder):
-                result = run_sharded(source, args.ledger, **kwargs)
-            recorder.close()
-    if args.chaos:
-        fired = sum(injector.fired_summary().values())
-        print(f"chaos: {len(plan)} fault(s) planned, {fired} injected")
-    agg = result.aggregate()
-    print(
-        f"fleet {agg['fleet']!r}: {agg['devices']} devices, seed "
-        f"{agg['seed']} — sharded x{result.num_shards} via {args.ledger}"
-    )
-    print(
-        f"  events {agg['events']}  processed {agg['processed']}  "
-        f"missed {agg['missed']} {agg['miss_counts']}  correct {agg['correct']}"
-    )
-    print(
-        f"  fleet IEpmJ {agg['fleet_iepmj']:.4f}  "
-        f"avg accuracy {agg['average_accuracy']:.3f}  "
-        f"device IEpmJ p10/p50/p90 "
-        + "/".join(f"{v:.3f}" for v in agg["device_iepmj_percentiles"].values())
-    )
-    print(
-        f"  shards: {result.shards_executed} executed, "
-        f"{result.shards_resumed} resumed from ledger, "
-        f"{result.shards_stolen} lease(s) stolen, "
-        f"{result.degraded} degradation(s); wall {result.wall_s:.2f}s "
-        f"with {result.workers} worker(s)"
-    )
-    if args.json:
-        result.to_json(args.json, include_timing=args.timing)
-        print(f"wrote JSON report to {args.json}")
-    if recorder is not None:
-        if args.trace_out:
-            print(f"wrote trace to {args.trace_out}")
-        if args.metrics_out:
-            payload = {
-                "manifest": build_manifest(
-                    fleet=source.name,
-                    devices=source.num_devices,
-                    seed=source.seed,
-                    scenario_digest=source.source_digest(),
-                    engine=args.engine,
-                    workers=args.shard_workers,
-                ),
-            }
-            payload.update(recorder.to_dict())
-            with open(args.metrics_out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote metrics to {args.metrics_out}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -308,8 +308,9 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="execute a scenario and report")
     run.add_argument("scenario", nargs="?", default=None, help="registered scenario name")
     run.add_argument("--spec", default=None, help="run a FleetSpec JSON file instead")
-    run.add_argument("--workers", type=int, default=1, help="process count (<=1: serial)")
-    run.add_argument("--chunksize", type=int, default=None, help="devices per pool chunk")
+    run.add_argument("--workers", type=int, default=1,
+                     help="process count (<=1: in-process); sharded runs "
+                          "drain the ledger with N work-stealing processes")
     run.add_argument("--engine", choices=("auto", "batched", "device"), default="auto",
                      help="simulation engine (auto: lockstep-batch eligible devices)")
     run.add_argument("--devices", type=int, default=None, help="override device count")
@@ -325,9 +326,6 @@ def main(argv=None) -> int:
                      help="shard ledger directory: one sealed artifact per "
                           "completed shard; re-running over the same ledger "
                           "skips finished shards (crash-safe resume)")
-    run.add_argument("--shard-workers", type=int, default=1, metavar="N",
-                     help="drain the shard ledger with N work-stealing "
-                          "processes (sharded runs only)")
     run.add_argument("--resume", action="store_true",
                      help="allow re-merging an already-complete ledger; the "
                           "shard plan is read back from the ledger when "
@@ -402,51 +400,16 @@ def main(argv=None) -> int:
         runner = FleetRunner(
             spec,
             workers=args.workers,
-            chunksize=args.chunksize,
             engine=args.engine,
             retry=build_retry_policy(args),
         )
-        recorder = None
-        if args.trace_out or args.metrics_out or args.profile:
-            recorder = Recorder(
-                metrics=True, trace=args.trace_out, profile=args.profile
-            )
-            if recorder.trace is not None:
-                recorder.trace.emit(
-                    {"type": "manifest", **_run_manifest(spec, args)}
-                )
-        with chaos(plan) as injector:
-            if recorder is None:
-                result = runner.run()
-            else:
-                with recording(recorder):
-                    result = runner.run()
-                recorder.close()
-        if args.chaos:
-            fired = sum(injector.fired_summary().values())
-            print(f"chaos: {len(plan)} fault(s) planned, {fired} injected")
-        _print_report(result, quiet=args.quiet)
-        for failure in result.failures:
-            print(
-                f"  ! quarantined {failure.name} (device {failure.index}) "
-                f"after {failure.attempts} attempt(s) at stage "
-                f"{failure.stage}: {failure.error}",
-                file=sys.stderr,
-            )
-        if args.json:
-            result.to_json(args.json, include_timing=args.timing)
-            print(f"wrote JSON report to {args.json}")
-        if recorder is not None:
-            if args.trace_out:
-                print(f"wrote trace to {args.trace_out}")
-            if args.metrics_out:
-                payload = {"manifest": _run_manifest(spec, args)}
-                payload.update(recorder.to_dict())
-                with open(args.metrics_out, "w") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote metrics to {args.metrics_out}")
-        return 0
+        return _run_observed(
+            args,
+            plan,
+            FleetShardSource(spec),
+            runner.run,
+            lambda result: _print_report(result, quiet=args.quiet),
+        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

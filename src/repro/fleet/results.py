@@ -1,8 +1,8 @@
 """Fleet-level result aggregation.
 
-Workers return compact :class:`DeviceResult` summaries (counts, metrics,
-percentiles) instead of full per-event records — a 100-device fleet ships
-kilobytes across the process boundary, not megabytes.  The
+Devices report compact :class:`DeviceResult` summaries (counts, metrics,
+percentiles) instead of full per-event records — a 100-device shard
+artifact is kilobytes, not megabytes.  The
 :class:`FleetResult` aggregator then reports fleet-level IEpmJ,
 miss-reason breakdowns, and cross-device percentile spreads.
 
@@ -158,9 +158,10 @@ def _unpack_dict_column(packed, i, caster):
 def pack_device_results(results) -> dict:
     """Struct-of-arrays wire form of a list of :class:`DeviceResult`.
 
-    Worker processes return whole chunks of devices at once; pickling one
-    numpy column per field costs a fraction of pickling per-device
-    dataclasses full of Python dicts and floats.  Exact round-trip:
+    One numpy column per field: the shard ledger persists this form
+    (through :func:`packed_to_jsonable`) and :class:`ShardAggregator`
+    reduces its columns without rebuilding per-device objects.  Exact
+    round-trip:
     ``unpack_device_results(pack_device_results(rs))`` reproduces every
     field bit-for-bit (plain Python types restored).
     """
@@ -275,9 +276,8 @@ def payload_digest(packed: dict) -> str:
     Wall-clock fields are excluded, so two bit-identical executions of
     the same chunk — the guarantee per-device ``SeedSequence`` streams
     make — produce the same digest even though their timings differ.
-    That is what lets the dispatcher detect a corrupted wire payload
-    *and* assert that a retried or straggling chunk reproduced the
-    accepted one exactly.
+    That is what lets the recovery ladder catch a corrupted payload (the
+    ``corrupt_payload`` fault) as one more failed attempt.
     """
     h = hashlib.sha256()
     for key in sorted(packed):
@@ -303,7 +303,7 @@ def verify_payload(packed: dict) -> dict:
     if actual != sealed:
         raise IntegrityError(
             f"chunk payload digest mismatch (sealed {sealed[:12]}…, got "
-            f"{actual[:12]}…): the wire payload was corrupted in transit"
+            f"{actual[:12]}…): the payload was corrupted after it was sealed"
         )
     return packed
 
@@ -541,10 +541,12 @@ class ShardAggregator:
         self._miss_counts: dict = {}
         self._exit_totals: list = []
 
-    def add_packed(self, packed: dict) -> None:
-        """Fold one shard's packed payload (device-index order within)."""
+    def add_packed(self, packed: dict, failures=()) -> None:
+        """Fold one shard's packed payload (device-index order within)
+        and the ``DeviceFailure`` dicts of the devices it quarantined."""
         n = int(packed["n"])
         self.num_devices += n
+        self.failures.extend(dict(f) for f in failures)
         for attr in self._INT_COLS:
             self._cols[attr].append(np.asarray(packed[attr], dtype=np.int64))
         for attr in self._FLOAT_COLS:

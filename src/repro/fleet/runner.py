@@ -1,21 +1,20 @@
-"""Parallel fleet execution.
+"""Fleet execution.
 
-:func:`run_device` is the module-level (pickle-safe) worker entry: it
-materializes one :class:`~repro.fleet.spec.DeviceSpec` into live trace /
-storage / MCU / profile / controller objects, replays its episodes through
-the event-driven simulator, and returns a compact
+:func:`run_device` materializes one :class:`~repro.fleet.spec.DeviceSpec`
+into live trace / storage / MCU / profile / controller objects, replays
+its episodes through the event-driven simulator, and returns a compact
 :class:`~repro.fleet.results.DeviceResult`.  :func:`run_device_batch` is
 its many-device twin: it routes batch-eligible devices through the
 lockstep :class:`~repro.sim.batch.BatchedFleetEngine` (one numpy step per
 event index for the whole subset) and falls back to :func:`run_device`
 per device for the rest — see the ``engine`` knob on :class:`FleetRunner`.
+:func:`run_batch_with_recovery` wraps it in the one recovery ladder
+(retry, per-device split, last attempt, quarantine).
 
-Parallel dispatch maps *chunks* of devices (one :func:`run_device_batch`
-call per chunk, packed-array wire form for the results) instead of one
-IPC round-trip per device, and falls back to serial outright when the
-fleet is too small — or the machine too narrow — for process parallelism
-to pay for its dispatch: the measured regression this replaces had a
-32-device pool running ~0.7x serial speed.
+There is one parallel path: :class:`FleetRunner` with ``workers > 1``
+drains one device-axis shard per worker through
+:mod:`repro.fleet.shards`, and runs in-process when the fleet is too
+small — or the machine too narrow — for forking to pay for itself.
 
 Determinism: every device derives its random streams from
 ``SeedSequence(fleet_seed, spawn_key=(device_index,))`` — exactly the
@@ -23,17 +22,13 @@ child that ``SeedSequence(fleet_seed).spawn(n)[index]`` would produce, but
 computable independently inside any worker.  The batched engine consumes
 those same streams in the same per-device order (bit-identity is enforced
 against ``tests/golden/``), so results do not depend on the engine, the
-worker count, dispatch order, or chunking — which is what makes
-``--workers 4`` bit-identical to the serial fallback.
+worker count, or the shard plan — which is what makes ``--workers 4``
+bit-identical to the in-process run.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
-import multiprocessing
 import os
-import threading
 import time
 from collections import deque
 from dataclasses import replace
@@ -52,7 +47,7 @@ from repro.energy.traces import (
     trace_from_csv,
     wind_trace,
 )
-from repro.errors import ConfigError, InjectedFault, IntegrityError
+from repro.errors import ConfigError, InjectedFault
 from repro.experiment import reference_profile, sonic_profile
 from repro.faults.injector import get_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -67,7 +62,7 @@ from repro.fleet.results import (
 )
 from repro.fleet.spec import FleetSpec
 from repro.intermittent.mcu import MSP432
-from repro.obs.recorder import Recorder, get_recorder, set_recorder
+from repro.obs.recorder import get_recorder
 from repro.obs.tracing import span
 from repro.runtime.controller import make_controller
 from repro.sim.profiles import InferenceProfile
@@ -77,10 +72,9 @@ from repro.sim.simulator import Simulator, SimulatorConfig
 #: Engines a :class:`FleetRunner` can route devices through.
 ENGINES = ("auto", "batched", "device")
 
-#: Below this many devices a parallel run falls back to serial: per-device
-#: work is a few milliseconds, so pool dispatch + result pickling swamps
-#: the compute and the pool runs *slower* than the serial loop (the PR-2
-#: benches measured a 32-device pool at ~0.7x serial throughput).
+#: Below this many devices a parallel run stays in-process: per-device
+#: work is a few milliseconds, so forking and result transport swamp the
+#: compute (a 32-device pool once measured ~0.7x serial throughput).
 MIN_PARALLEL_DEVICES = 16
 
 _SEEDED_TRACE_BUILDERS = {
@@ -241,9 +235,8 @@ def build_controller(controller_spec: dict, profile, storage, seed: int):
 def run_device(task) -> DeviceResult:
     """Simulate one device: ``task`` is ``(index, DeviceSpec, fleet_seed)``.
 
-    Module-level so ``multiprocessing`` can pickle it by reference; also
-    the serial entry point used by the debugging fallback and by callers
-    that want a single device out of a fleet.
+    The per-device engine behind :func:`run_device_batch`, and the entry
+    point for callers that want a single device out of a fleet.
     """
     index, spec, fleet_seed = task
     t0 = time.perf_counter()
@@ -330,33 +323,19 @@ def run_device_batch(tasks, engine: str = "auto") -> list:
     return [by_index[t[0]] for t in tasks]
 
 
-def _apply_worker_faults(ops, in_worker: bool) -> None:
-    """Apply pre-execution fault directives (decided parent-side).
+def _apply_chunk_faults(ops) -> None:
+    """Apply pre-execution fault directives polled at ``fleet.chunk``.
 
-    ``in_worker`` distinguishes a pool child (where a crash really exits
-    the process and a hang really sleeps, exercising the watchdog) from
-    serial in-process dispatch (where both map to raised
-    :class:`InjectedFault`s the retry loop handles — the parent process
-    must never kill or block itself).
+    Every attempt runs in the polling process, so a crash or a hang
+    maps to a raised :class:`InjectedFault` the ladder handles — a
+    process must never kill or block itself.
     """
     for op in ops:
         kind = op["op"]
-        if kind == "crash":
-            if in_worker:
-                os._exit(int(op.get("exit_code", 70)))
-            raise InjectedFault("injected worker crash (serial dispatch)")
-        if kind == "exception":
-            raise InjectedFault("injected worker exception")
         if kind == "oserror":
             raise OSError("injected transient OSError")
-        if kind == "hang":
-            if in_worker:
-                # A straggler: sleep past the watchdog, then finish
-                # normally so the parent can verify the late payload is
-                # bit-identical to the accepted re-execution.
-                time.sleep(float(op.get("seconds", 1.0)))
-            else:
-                raise InjectedFault("injected hang (serial dispatch)")
+        if kind in ("crash", "exception", "hang"):
+            raise InjectedFault(f"injected worker {kind}")
         # "corrupt_payload" is applied after packing, not here.
 
 
@@ -372,250 +351,97 @@ def _corrupt_packed_payload(payload: dict, ops) -> None:
             payload["digest"] = "0" * 64
 
 
-def _run_chunk_packed(args) -> dict:
-    """Worker entry for chunked dispatch: run a batch, ship packed arrays.
+def _run_chunk(tasks, engine: str, ops) -> list:
+    """One attempt at a chunk under the fault directives ``ops``.
 
-    ``obs`` is ``None`` when the parent had observability off; otherwise a
-    small flags dict.  The worker never writes to the parent's sinks (a
-    fork-inherited recorder would share the trace file descriptor): it
-    scopes a *fresh* metrics(+profiler) recorder around the batch and
-    ships its wire snapshot home under the payload's ``"obs"`` key, to be
-    merged parent-side in dispatch order.
-
-    ``ops`` are the chaos directives the parent's fault injector decided
-    for this attempt (empty in production).  The payload is sealed with a
-    content digest *before* corruption directives run, so an injected (or
-    real) wire corruption is caught by ``verify_payload`` parent-side.
-    """
-    tasks, engine, obs, ops = args
-    if ops:
-        _apply_worker_faults(ops, in_worker=True)
-    if obs is None:
-        payload = seal_payload(pack_device_results(run_device_batch(tasks, engine)))
-        if ops:
-            _corrupt_packed_payload(payload, ops)
-        return payload
-    recorder = Recorder(metrics=True, profile=bool(obs.get("profile")))
-    previous = set_recorder(recorder)
-    try:
-        payload = seal_payload(pack_device_results(run_device_batch(tasks, engine)))
-    finally:
-        set_recorder(previous)
-        recorder.close()
-    wire = {"metrics": recorder.metrics.to_wire()}
-    if recorder.profiler is not None:
-        wire["profiler"] = recorder.profiler.to_wire()
-    payload["obs"] = wire
-    if ops:
-        _corrupt_packed_payload(payload, ops)
-    return payload
-
-
-def _run_chunk_inline(tasks, engine: str, ops) -> list:
-    """Run one chunk in the calling process under fault directives.
-
-    The production serial path never comes here (it calls
-    :func:`run_device_batch` directly, paying nothing); this is the
-    chaos-armed serial dispatch and the dispatcher's last-resort
-    in-parent attempt.  With directives present the chunk goes through
-    the same pack → seal → (corrupt) → verify wire cycle a pooled chunk
-    would, so payload-corruption faults are exercisable serially too.
+    With directives present the chunk goes through a pack → seal →
+    (corrupt) → verify cycle, so payload corruption is exercisable and
+    caught like any other failed attempt.
     """
     if not ops:
         return run_device_batch(tasks, engine)
-    _apply_worker_faults(ops, in_worker=False)
+    _apply_chunk_faults(ops)
     payload = seal_payload(pack_device_results(run_device_batch(tasks, engine)))
     _corrupt_packed_payload(payload, ops)
     verify_payload(payload)
     return unpack_device_results(payload)
 
 
-def _merge_worker_obs(rec, payloads) -> None:
-    """Fold worker obs snapshots into the active recorder, in dispatch
-    order (which makes histogram splicing deterministic — see
-    :mod:`repro.obs.metrics`)."""
-    for payload in payloads:
-        wire = payload.pop("obs", None)
-        if not wire:
-            continue
-        if rec.metrics is not None and "metrics" in wire:
-            rec.metrics.merge_wire(wire["metrics"])
-        if rec.profiler is not None and "profiler" in wire:
-            rec.profiler.merge_wire(wire["profiler"])
-
-
 class _ChunkJob:
-    """One unit of fault-tolerant dispatch: a chunk at a ladder stage."""
+    """One unit of the recovery ladder: a chunk at a ladder stage."""
 
-    __slots__ = ("order", "tasks", "engine", "attempts", "stage", "not_before")
+    __slots__ = ("tasks", "engine", "attempts", "stage", "not_before")
 
-    def __init__(self, order, tasks, engine, stage="chunk"):
-        self.order = order  # tuple; sorts to original submission order
+    def __init__(self, tasks, engine, stage="chunk"):
         self.tasks = tasks
         self.engine = engine
         self.attempts = 0  # completed (failed) attempts at this stage
         self.stage = stage  # "chunk" | "device" (post-split) | "serial"
         self.not_before = 0.0  # monotonic deadline gating the next attempt
 
-    def indices(self):
-        return tuple(t[0] for t in self.tasks)
 
+class _RecoveryLadder:
+    """Retries, engine degradation, and per-device quarantine for one batch.
 
-class _FaultTolerantDispatch:
-    """Executes chunk jobs with retries, a straggler watchdog, engine
-    degradation, and per-device quarantine.
-
-    The recovery ladder per job: up to ``max_retries`` retries with
-    exponential backoff at the current stage; an exhausted multi-device
-    chunk splits into per-device jobs on the degraded ``"device"``
-    engine (a faulting batched chunk never takes its neighbours down);
-    an exhausted single device gets one last serial attempt in the
-    parent process; only then is it quarantined as a
+    The ladder per job: up to ``max_retries`` retries with exponential
+    backoff at the current stage; an exhausted multi-device chunk splits
+    into per-device jobs on the ``"device"`` engine (a faulting batched
+    chunk never takes its neighbours down); an exhausted single device
+    gets one last attempt; only then is it quarantined as a
     :class:`~repro.fleet.results.DeviceFailure`.  Spec problems
     (:class:`ConfigError`) are never retried — they would fail
-    identically forever and belong to the caller.
-
-    Retried work is deterministic by construction (per-device
-    ``SeedSequence`` streams), and the dispatcher *asserts* it: every
-    accepted pooled payload carries a content digest, and a straggler
-    that completes after its replacement must match the accepted digest
-    bit-for-bit or the run fails with :class:`IntegrityError`.
+    identically forever and belong to the caller.  Retried work is
+    deterministic by construction (per-device ``SeedSequence`` streams).
     """
 
-    POLL_S = 0.005
-
-    def __init__(self, engine: str, policy: RetryPolicy, pool=None):
+    def __init__(self, engine: str, policy: RetryPolicy, injector):
         self.engine = engine
         self.policy = policy
-        self.pool = pool
-        self.injector = get_fault_injector()
-        self.rec = get_recorder()
-        self.metrics = self.rec.metrics
+        self.injector = injector
+        self.metrics = get_recorder().metrics
         self.results: dict = {}  # device index -> DeviceResult
         self.failures: list = []  # DeviceFailure
-        self._obs_wires: list = []  # (job order, wire) accepted payload obs
-        self._accepted_digests: dict = {}  # device-index tuple -> digest
-        self._stragglers: list = []  # (job, AsyncResult) timed-out attempts
 
-    # ------------------------------------------------------------------ #
-    # Entry
-    # ------------------------------------------------------------------ #
-    def run(self, chunks) -> tuple:
-        """Execute ``chunks``; returns (results-by-index, failures)."""
-        jobs = deque(
-            _ChunkJob((i,), chunk, self.engine) for i, chunk in enumerate(chunks)
-        )
-        if self.pool is None:
-            self._run_serial(jobs)
+    def recover(self, tasks, first_error=None) -> tuple:
+        """Run ``tasks`` to completion; ``first_error`` is a failed first
+        attempt already made by the caller."""
+        job = _ChunkJob(tasks, self.engine)
+        jobs = deque()
+        if first_error is None:
+            jobs.append(job)
         else:
-            self._run_pooled(jobs)
-        if self._obs_wires:
-            self._obs_wires.sort(key=lambda item: item[0])
-            _merge_worker_obs(self.rec, [{"obs": wire} for _, wire in self._obs_wires])
-        self.failures.sort(key=lambda f: f.index)
-        return self.results, self.failures
-
-    def _inc(self, name: str, n=1) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, n)
-
-    def _poll_ops(self):
-        if not self.injector.enabled:
-            return ()
-        return tuple(f.directive() for f in self.injector.poll("fleet.chunk"))
-
-    # ------------------------------------------------------------------ #
-    # Serial dispatch (chaos-armed; the production serial path bypasses
-    # the dispatcher entirely)
-    # ------------------------------------------------------------------ #
-    def _run_serial(self, jobs) -> None:
+            self._on_failure(job, first_error, jobs)
         while jobs:
             job = jobs.popleft()
             delay = job.not_before - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            ops = self._poll_ops()
-            try:
-                accepted = _run_chunk_inline(job.tasks, job.engine, ops)
-            except ConfigError:
-                raise
-            except Exception as exc:
+            self._attempt(job, jobs)
+        self.failures.sort(key=lambda f: f.index)
+        results = [self.results[t[0]] for t in tasks if t[0] in self.results]
+        return results, self.failures
+
+    def _inc(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.inc(name)
+
+    def _attempt(self, job, jobs) -> None:
+        ops = ()
+        if self.injector.enabled:
+            ops = tuple(f.directive() for f in self.injector.poll("fleet.chunk"))
+        try:
+            accepted = _run_chunk(job.tasks, job.engine, ops)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            if job.stage == "serial":
+                self._quarantine(job, exc)
+            else:
                 self._on_failure(job, exc, jobs)
-                continue
-            self._accept_devices(job, accepted)
-
-    # ------------------------------------------------------------------ #
-    # Pooled dispatch
-    # ------------------------------------------------------------------ #
-    def _run_pooled(self, jobs) -> None:
-        obs = None
-        if self.rec.enabled:
-            obs = {"profile": self.rec.profiler is not None}
-        timeout = self.policy.effective_timeout(self.injector.enabled)
-        live: list = []  # [job, AsyncResult, deadline or None]
-        while jobs or live:
-            now = time.monotonic()
-            held = deque()
-            while jobs:
-                job = jobs.popleft()
-                if job.not_before > now:
-                    held.append(job)
-                    continue
-                ops = self._poll_ops()
-                handle = self.pool.apply_async(
-                    _run_chunk_packed, ((job.tasks, job.engine, obs, ops),)
-                )
-                deadline = None if timeout is None else now + timeout
-                live.append([job, handle, deadline])
-            jobs.extend(held)
-            progressed = False
-            for entry in list(live):
-                job, handle, deadline = entry
-                if handle.ready():
-                    live.remove(entry)
-                    progressed = True
-                    try:
-                        payload = handle.get()
-                        verify_payload(payload)
-                    except ConfigError:
-                        raise
-                    except Exception as exc:
-                        self._on_failure(job, exc, jobs)
-                    else:
-                        self._accept_payload(job, payload)
-                elif deadline is not None and now >= deadline:
-                    live.remove(entry)
-                    progressed = True
-                    self._stragglers.append((job, handle))
-                    self._inc("fleet.retry.timeouts")
-                    self._on_failure(
-                        job,
-                        TimeoutError(
-                            f"chunk attempt exceeded worker_timeout={timeout:.3g}s"
-                        ),
-                        jobs,
-                    )
-            if not progressed and (jobs or live):
-                time.sleep(self.POLL_S)
-        self._reap_stragglers()
-
-    # ------------------------------------------------------------------ #
-    # Acceptance
-    # ------------------------------------------------------------------ #
-    def _accept_devices(self, job, devices) -> None:
-        for device in devices:
+            return
+        for device in accepted:
             self.results[device.index] = device
 
-    def _accept_payload(self, job, payload: dict) -> None:
-        wire = payload.pop("obs", None)
-        if wire:
-            self._obs_wires.append((job.order, wire))
-        self._accepted_digests[job.indices()] = payload.get("digest")
-        self._accept_devices(job, unpack_device_results(payload))
-
-    # ------------------------------------------------------------------ #
-    # The recovery ladder
-    # ------------------------------------------------------------------ #
     def _on_failure(self, job, exc, jobs) -> None:
         job.attempts += 1
         self._inc("fleet.retry.failures")
@@ -626,39 +452,19 @@ class _FaultTolerantDispatch:
             if self.metrics is not None:
                 self.metrics.observe("fleet.retry.backoff_s", backoff)
             jobs.append(job)
-            return
-        if len(job.tasks) > 1:
+        elif len(job.tasks) > 1:
             # Batched → per-device degradation: re-run each device alone
             # so one faulting device cannot poison the whole chunk.
             self._inc("fleet.retry.splits")
-            for position, task in enumerate(job.tasks):
-                jobs.append(
-                    _ChunkJob(job.order + (position,), [task], "device", "device")
-                )
-            return
-        if job.stage != "serial":
-            self._final_serial_attempt(job, jobs)
-            return
-        self._quarantine(job, exc)
-
-    def _final_serial_attempt(self, job, jobs) -> None:
-        """Last rung before quarantine: run the device in the parent.
-
-        Survives a broken/poisoned pool outright, and still polls the
-        injector, so a chaos plan hostile enough to exhaust it proves
-        quarantine works.
-        """
-        job.stage = "serial"
-        self._inc("fleet.retry.serial_attempts")
-        ops = self._poll_ops()
-        try:
-            accepted = _run_chunk_inline(job.tasks, "device", ops)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            self._quarantine(job, exc)
-            return
-        self._accept_devices(job, accepted)
+            jobs.extend(_ChunkJob([task], "device", "device") for task in job.tasks)
+        else:
+            # Last rung before quarantine, taken at once: still polls the
+            # injector, so a plan hostile enough to exhaust it proves
+            # quarantine works.
+            job.stage = "serial"
+            job.engine = "device"
+            self._inc("fleet.retry.serial_attempts")
+            self._attempt(job, jobs)
 
     def _quarantine(self, job, exc) -> None:
         index, spec, _ = job.tasks[0]
@@ -673,88 +479,28 @@ class _FaultTolerantDispatch:
         )
         self._inc("fleet.devices.quarantined")
 
-    # ------------------------------------------------------------------ #
-    # Straggler verification
-    # ------------------------------------------------------------------ #
-    def _reap_stragglers(self) -> None:
-        """Check timed-out attempts that completed after re-dispatch.
 
-        Re-execution is bit-identical by construction, so a straggler's
-        payload must equal the accepted one — comparing the two content
-        digests is the cheapest end-to-end determinism assert we can run
-        in production.  Stragglers that never surface within the grace
-        window are abandoned (the pool teardown reclaims their workers).
-        """
-        if not self._stragglers:
-            return
-        deadline = time.monotonic() + self.policy.straggler_grace_s
-        while time.monotonic() < deadline and any(
-            not handle.ready() for _, handle in self._stragglers
-        ):
-            time.sleep(self.POLL_S)
-        abandoned = 0
-        for job, handle in self._stragglers:
-            if not handle.ready():
-                abandoned += 1
-                self._inc("fleet.straggler.abandoned")
-                self._discard(handle)
-                continue
-            try:
-                payload = handle.get()
-                verify_payload(payload)
-            except Exception:
-                self._inc("fleet.straggler.failed")
-                continue
-            expected = self._accepted_digests.get(job.indices())
-            if expected is None:
-                # The re-execution went down the degraded per-device
-                # path; there is no whole-chunk digest to compare.
-                self._inc("fleet.straggler.unmatched")
-            elif payload.get("digest") == expected:
-                self._inc("fleet.straggler.verified")
-            else:
-                raise IntegrityError(
-                    f"straggler re-execution diverged for devices "
-                    f"{job.indices()}: a retried chunk must be bit-identical "
-                    "to the accepted one (determinism violation)"
-                )
-        if abandoned:
-            self._recycle_pool()
+def run_batch_with_recovery(tasks, engine: str, policy: RetryPolicy) -> tuple:
+    """Simulate ``tasks`` in this process; ``(results, failures)``.
 
-    def _recycle_pool(self) -> None:
-        """Terminate a pool that swallowed work without returning it.
-
-        An abandoned straggler means a worker is wedged or dead — and a
-        SIGKILL'd worker can take the pool's shared task-queue lock down
-        with it, after which *no* worker (including respawns) can read
-        another task or the close sentinel.  A graceful
-        ``close()``/``join()`` on such a pool stalls for the full
-        ``JOIN_TIMEOUT_S`` escalation window, and an external long-lived
-        pool (the campaign layer's) would wedge every subsequent fleet.
-        Force-terminating now reclaims the processes immediately, and a
-        :class:`LazyPool` transparently respawns on its next dispatch.
-        """
-        recycle = getattr(self.pool, "shutdown", None)
-        if recycle is None:  # raw caller-owned Pool: leave teardown to them
-            return
-        self._inc("fleet.pool.recycled")
-        recycle(force=True)
-
-    @staticmethod
-    def _discard(handle) -> None:
-        """Forget an abandoned in-flight task pool-side.
-
-        A lost task (killed or wedged worker) leaves its ``AsyncResult``
-        in ``Pool._cache`` forever, and ``Pool.join`` refuses to finish
-        while the cache is non-empty — the deadlock that used to wedge
-        the whole parent (and leak the worker processes) on any worker
-        death.  Dropping the cache entry lets a graceful
-        ``close()``/``join()`` complete.
-        """
+    Results are :class:`DeviceResult`\\ s in task order (quarantined
+    devices omitted), failures :class:`DeviceFailure`\\ s in index order.
+    The first attempt is a plain :func:`run_device_batch` call behind a
+    ``try`` when chaos is off — one injector attribute read; a failure,
+    or an armed injector (which polls ``fleet.chunk`` once per
+    attempt), goes through :class:`_RecoveryLadder`.  Both
+    :class:`FleetRunner` and each shard of
+    :func:`~repro.fleet.shards.run_sharded` execute through here.
+    """
+    injector = get_fault_injector()
+    if not injector.enabled:
         try:
-            handle._cache.pop(handle._job, None)
-        except AttributeError:  # pragma: no cover - non-CPython pool
-            pass
+            return run_device_batch(tasks, engine), []
+        except ConfigError:
+            raise
+        except Exception as exc:
+            return _RecoveryLadder(engine, policy, injector).recover(tasks, exc)
+    return _RecoveryLadder(engine, policy, injector).recover(tasks)
 
 
 def usable_cpus() -> int:
@@ -765,92 +511,8 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class LazyPool:
-    """A ``multiprocessing.Pool`` that forks on first use, not on entry.
-
-    The serial-fallback fix means a pooled caller (e.g. a campaign whose
-    cells are all below the parallel threshold) may never dispatch a
-    single map — eagerly forking workers would charge it the pool startup
-    for nothing, which was a visible slice of the pooled-campaign
-    pessimization.  ``map`` / ``apply_async`` materialize the real pool
-    on demand; teardown is a no-op when it never started.
-
-    ``multiprocessing.Pool`` transparently respawns a worker that dies
-    (SIGKILL, ``os._exit``), but the chunk that worker held is simply
-    lost — its ``AsyncResult`` never completes.  That is why the
-    dispatcher above pairs every ``apply_async`` with a watchdog
-    deadline instead of using blocking ``map`` (which would wedge
-    forever on a killed worker, leaking the whole pool).
-    """
-
-    def __init__(self, workers: int):
-        self._workers = int(workers)
-        self._pool = None
-
-    def _materialize(self):
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self._workers)
-        return self._pool
-
-    def map(self, func, iterable, chunksize=None):
-        return self._materialize().map(func, iterable, chunksize=chunksize)
-
-    def apply_async(self, func, args=()):
-        return self._materialize().apply_async(func, args)
-
-    #: How long a graceful shutdown waits before escalating to terminate.
-    JOIN_TIMEOUT_S = 10.0
-
-    def shutdown(self, force: bool = False) -> None:
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if force:
-            pool.terminate()
-            pool.join()
-            return
-        pool.close()
-        # Bounded join: if anything is wedged despite the dispatcher's
-        # bookkeeping (a worker stuck in non-interruptible C code, say),
-        # escalate to terminate rather than hang the parent forever.
-        waiter = threading.Thread(target=pool.join, daemon=True)
-        waiter.start()
-        waiter.join(self.JOIN_TIMEOUT_S)
-        if waiter.is_alive():  # pragma: no cover - last-resort escalation
-            pool.terminate()
-            waiter.join()
-
-
-@contextlib.contextmanager
-def worker_pool(workers: int):
-    """Yield a reusable lazy worker pool (or ``None`` when serial).
-
-    Job-level hook for callers that execute *many* fleets — the campaign
-    layer above all.  A :class:`FleetRunner` started per job would tear its
-    pool (and the per-process ``_TRACE_CACHE`` / ``_PROFILE_CACHE`` living
-    in the workers) down after every fleet; passing one long-lived pool to
-    ``FleetRunner.run(pool=...)`` keeps workers warm, so cells that share
-    trace families hit the memo instead of re-synthesizing samples.  The
-    processes fork on first dispatch (:class:`LazyPool`), so jobs whose
-    fleets all take the serial fallback never pay pool startup at all.
-    """
-    if workers <= 1:
-        yield None
-        return
-    pool = LazyPool(workers)
-    try:
-        yield pool
-    except BaseException:
-        # Mirror `with Pool(...)`: kill queued work immediately on error or
-        # Ctrl+C instead of close()-ing and waiting for the whole backlog.
-        pool.shutdown(force=True)
-        raise
-    else:
-        pool.shutdown()
-
-
 class FleetRunner:
-    """Executes a :class:`FleetSpec`, serially or via a process pool.
+    """Executes a :class:`FleetSpec`, in-process or over drain processes.
 
     ``engine`` selects the per-device simulation form:
 
@@ -864,143 +526,86 @@ class FleetRunner:
 
     All engines produce bit-identical results (see ``tests/golden/``).
 
-    ``workers <= 1`` runs serially in-process (debuggable with plain
-    pdb/profilers); larger values fan *chunks* of devices out over a
-    ``multiprocessing.Pool``.  A parallel request still runs serially when
-    the fleet is smaller than ``parallel_threshold`` devices (default
-    :data:`MIN_PARALLEL_DEVICES`, and only when more than one CPU is
-    usable) — pool dispatch on a few milliseconds of work per device is a
-    measured pessimization, and falling back is what fixes it.  Passing an
-    explicit ``parallel_threshold`` overrides both the device floor and
-    the CPU check (tests use ``parallel_threshold=1`` to force the pool
-    path on any machine).
+    ``workers <= 1`` runs in-process (debuggable with plain
+    pdb/profilers).  Larger values split the fleet into one device-axis
+    shard per worker and drain them through a throwaway shard ledger
+    (:func:`repro.fleet.shards.drain_fleet`): ``workers - 1`` forked
+    drain children plus the calling process.  A parallel request still
+    runs in-process when the fleet is smaller than
+    :data:`MIN_PARALLEL_DEVICES` or only one CPU is usable — forking on
+    a few milliseconds of work per device is a measured pessimization.
     """
 
     def __init__(
         self,
         spec: FleetSpec,
         workers: int = 1,
-        chunksize: Optional[int] = None,
         engine: str = "auto",
-        parallel_threshold: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
     ):
         if not isinstance(spec, FleetSpec):
             raise ConfigError("FleetRunner needs a FleetSpec")
         if workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigError(f"chunksize must be >= 1, got {chunksize}")
         if engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if parallel_threshold is not None and parallel_threshold < 1:
-            raise ConfigError(
-                f"parallel_threshold must be >= 1, got {parallel_threshold}"
-            )
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ConfigError("retry must be a RetryPolicy (or None)")
         self.spec = spec
         self.workers = int(workers)
-        self.chunksize = chunksize
         self.engine = engine
-        self.parallel_threshold = parallel_threshold
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
-        #: After :meth:`run`: did the last run actually use a pool?
+        #: After :meth:`run`: did the last run actually go parallel?
         self.last_run_parallel = False
 
     def _tasks(self) -> list:
         return [(i, d, self.spec.seed) for i, d in enumerate(self.spec.devices)]
 
-    def _pool_fanout(self, pool) -> int:
-        """How many workers the dispatch should actually chunk for.
+    def _should_parallelize(self) -> bool:
+        return (
+            self.workers > 1
+            and self.spec.num_devices >= MIN_PARALLEL_DEVICES
+            and usable_cpus() > 1
+        )
 
-        An external pool's own process count wins over this runner's
-        ``workers`` field (which only a self-owned pool is built from) —
-        otherwise ``FleetRunner(spec).run(pool=worker_pool(4))`` with the
-        default ``workers=1`` would ship the whole fleet as one chunk to
-        one worker.
-        """
-        for attr in ("_workers", "_processes"):  # LazyPool / multiprocessing.Pool
-            n = getattr(pool, attr, None)
-            if n:
-                return max(int(n), 1)
-        return max(self.workers, 1)
+    def run(self) -> FleetResult:
+        """Execute the fleet.
 
-    def _should_parallelize(self, num_tasks: int, pool) -> bool:
-        if pool is None and self.workers <= 1:
-            return False
-        if self.parallel_threshold is not None:
-            return num_tasks >= self.parallel_threshold
-        return num_tasks >= MIN_PARALLEL_DEVICES and usable_cpus() > 1
-
-    def _batch_chunks(self, tasks, fanout: int) -> list:
-        """Contiguous task chunks for one run_device_batch call each.
-
-        The batched engine gets one chunk per worker (maximum lockstep
-        width); the per-device engine gets ~4 chunks per worker so the
-        pool can load-balance uneven simulation lengths.
-        """
-        if self.chunksize:
-            size = self.chunksize
-        elif self.engine == "device":
-            size = max(1, math.ceil(len(tasks) / (fanout * 4)))
-        else:
-            size = max(1, math.ceil(len(tasks) / fanout))
-        return [tasks[i:i + size] for i in range(0, len(tasks), size)]
-
-    def _dispatch(self, tasks, pool) -> tuple:
-        """Run chunks through the fault-tolerant dispatcher."""
-        fanout = self._pool_fanout(pool) if pool is not None else 1
-        dispatch = _FaultTolerantDispatch(self.engine, self.retry, pool)
-        results, failures = dispatch.run(self._batch_chunks(tasks, fanout))
-        return [results[i] for i in sorted(results)], failures
-
-    def run(self, pool=None) -> FleetResult:
-        """Execute the fleet; ``pool`` reuses an external :func:`worker_pool`.
-
-        When a pool is supplied its workers do the mapping (the runner's
-        own ``workers`` count only shapes chunking), so a sequence of runs
-        can share warm worker processes.  Results are identical either
-        way: per-device streams are pinned by (fleet seed, device index),
-        never by which process executes them.
-
-        Dispatch is fault-tolerant: failed chunk attempts are retried
-        with backoff per ``self.retry``, timed-out workers are
-        re-dispatched, exhausted batched chunks degrade to per-device
-        then in-parent serial execution, and devices that still fail are
+        Results are identical however the fleet runs: per-device streams
+        are pinned by (fleet seed, device index), never by which process
+        executes them.  Execution is fault-tolerant
+        (:func:`run_batch_with_recovery`): failed attempts are retried
+        with backoff per ``self.retry``, exhausted batched chunks degrade
+        to per-device execution, and devices that still fail are
         quarantined on ``FleetResult.failures`` instead of aborting the
-        fleet.  The serial chaos-off path skips all of it — one injector
-        attribute read, then straight into the engine.
+        fleet.  A parallel run adds the shard ledger's guarantees: a
+        dead drain child's shard is stolen after its lease expires, and
+        a corrupt artifact is quarantined and re-executed.
         """
         t0 = time.perf_counter()
-        tasks = self._tasks()
-        self.last_run_parallel = self._should_parallelize(len(tasks), pool)
-        workers_used = 1
-        failures: list = []
+        self.last_run_parallel = self._should_parallelize()
         with span(
             "fleet.run",
             fleet=self.spec.name,
-            devices=len(tasks),
+            devices=self.spec.num_devices,
             engine=self.engine,
             parallel=self.last_run_parallel,
         ):
-            if not self.last_run_parallel:
-                if not get_fault_injector().enabled:
-                    device_results = run_device_batch(tasks, self.engine)
-                else:
-                    device_results, failures = self._dispatch(tasks, None)
-            elif pool is not None:
-                workers_used = self._pool_fanout(pool)
-                device_results, failures = self._dispatch(tasks, pool)
+            if self.last_run_parallel:
+                from repro.fleet.shards import drain_fleet
+
+                device_results, failures = drain_fleet(
+                    self.spec, self.workers, self.engine, self.retry
+                )
             else:
-                workers_used = max(self.workers, 1)
-                with worker_pool(self.workers) as owned:
-                    device_results, failures = self._dispatch(tasks, owned)
+                device_results, failures = run_batch_with_recovery(
+                    self._tasks(), self.engine, self.retry
+                )
         result = FleetResult(
             fleet_name=self.spec.name,
             seed=self.spec.seed,
             devices=device_results,
-            workers=workers_used,
+            workers=self.workers if self.last_run_parallel else 1,
             wall_s=time.perf_counter() - t0,
             failures=failures,
         )
@@ -1011,13 +616,13 @@ class FleetRunner:
 
     def _record_fleet_metrics(self, metrics, result: FleetResult) -> None:
         """Parent-side outcome metrics, computed from the aggregated device
-        results *after* dispatch — serial and pooled runs therefore build
-        identical outcome registries regardless of worker count or
-        chunking.  (Engine internals — ``batch.*`` counters and profiler
-        phases — are recorded where the engine runs and are
-        chunking-granular by nature.)  Includes the engine-selection
-        telemetry: one ``fleet.fallback.<code>`` counter per device that
-        the lockstep engine would refuse.
+        results *after* execution — serial and parallel runs therefore
+        build identical outcome registries regardless of worker count.
+        (Engine internals — ``batch.*`` counters and profiler phases —
+        are recorded where the engine runs and are shard-granular by
+        nature.)  Includes the engine-selection telemetry: one
+        ``fleet.fallback.<code>`` counter per device that the lockstep
+        engine would refuse.
         """
         from repro.sim.batch import batch_ineligibility_code
 
@@ -1048,17 +653,8 @@ class FleetRunner:
 def run_fleet(
     spec: FleetSpec,
     workers: int = 1,
-    chunksize: Optional[int] = None,
     engine: str = "auto",
-    parallel_threshold: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> FleetResult:
     """One-call convenience wrapper around :class:`FleetRunner`."""
-    return FleetRunner(
-        spec,
-        workers=workers,
-        chunksize=chunksize,
-        engine=engine,
-        parallel_threshold=parallel_threshold,
-        retry=retry,
-    ).run()
+    return FleetRunner(spec, workers=workers, engine=engine, retry=retry).run()

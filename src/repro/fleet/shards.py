@@ -42,6 +42,14 @@ Three mechanisms, in order of load-bearing-ness:
   its shard re-executed (bounded heal rounds), mirroring the campaign
   store's :class:`~repro.errors.CorruptCellError` path.
 
+Every shard executes through the one recovery ladder
+(:func:`~repro.fleet.runner.run_batch_with_recovery`); devices it
+quarantines ride in the artifact's ``failures`` list (present only when
+non-empty) and surface in the merged aggregate.  :func:`drain_fleet` is
+:class:`~repro.fleet.runner.FleetRunner`'s parallel path: the same
+drain over a throwaway ledger, with per-device results rebuilt from the
+artifacts.
+
 Memory stays bounded: a worker holds one shard's device results at a
 time (released after the artifact is published), and a ``max_rss_mb``
 budget degrades gracefully — the execution sub-batch width halves
@@ -61,6 +69,7 @@ import json
 import multiprocessing
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,19 +77,21 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigError, CorruptShardError, IntegrityError
-from repro.faults.injector import get_fault_injector
+from repro.faults.injector import get_fault_injector, set_fault_injector
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.fleet.results import (
+    DeviceFailure,
     ShardAggregator,
     jsonable_to_packed,
     pack_device_results,
     packed_to_jsonable,
+    unpack_device_results,
 )
-from repro.fleet.runner import ENGINES, run_device_batch
+from repro.fleet.runner import ENGINES, run_batch_with_recovery
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import FleetSpec
 from repro.obs.profiler import memory_snapshot
-from repro.obs.recorder import get_recorder, set_recorder
+from repro.obs.recorder import Recorder, get_recorder, set_recorder
 from repro.obs.tracing import span
 from repro.utils.sealed import (
     _apply_save_faults,
@@ -104,6 +115,11 @@ MAX_HEAL_ROUNDS = 4
 #: Sleep between work-steal scans when every incomplete shard is leased
 #: by someone else.
 DEFAULT_POLL_S = 0.05
+
+#: The steal-scan sleep of :func:`drain_fleet`: its shards take
+#: milliseconds, so a coarse poll would dominate the wait for the last
+#: shard and for the children's exit.
+FLEET_POLL_S = 0.005
 
 
 def shard_key(start: int, end: int) -> str:
@@ -652,7 +668,6 @@ class _ShardExecutor:
                     self.ledger.release(key)
                 self.executed += 1
                 progressed = True
-                self._inc("fleet.shard.completed")
                 if outcome == "verified":
                     self.verified += 1
                     self._inc("fleet.shard.straggler_verified")
@@ -667,18 +682,22 @@ class _ShardExecutor:
                 (start + j, spec, self.source.seed)
                 for j, spec in enumerate(specs)
             ]
-            results = []
+            results, failures = [], []
             pos = 0
             while pos < len(tasks):
                 width = self._effective_width(len(tasks) - pos)
-                results.extend(self._run_batch(tasks[pos:pos + width]))
+                done, failed = run_batch_with_recovery(
+                    tasks[pos:pos + width], self.engine, self.retry
+                )
+                results.extend(done)
+                failures.extend(failed)
                 pos += width
         packed = pack_device_results(results)
         # Wall-clock is observability, not content: zero it so a re-run
         # shard (stolen lease, straggler) publishes the same bytes and
         # the digest-verify straggler path can confirm determinism.
         packed["wall_s"] = np.zeros(len(results), dtype=np.float64)
-        return {
+        payload = {
             "key": key,
             "start": int(start),
             "end": int(end),
@@ -686,6 +705,10 @@ class _ShardExecutor:
             "seed": int(self.source.seed),
             "devices": packed_to_jsonable(packed),
         }
+        if failures:
+            # Only when non-empty: clean artifacts keep their bytes.
+            payload["failures"] = [f.to_dict() for f in failures]
+        return payload
 
     def _effective_width(self, remaining: int) -> int:
         """Sub-batch width, halved under RSS pressure (results invariant).
@@ -708,31 +731,21 @@ class _ShardExecutor:
                     metrics.set_gauge("fleet.shard.exec_width", width)
         return max(1, min(width, remaining))
 
-    def _run_batch(self, batch) -> list:
-        """One deterministic sub-batch with bounded in-process retries."""
-        attempts = 0
-        while True:
-            try:
-                return run_device_batch(batch, self.engine)
-            except ConfigError:
-                raise  # a spec problem fails identically forever
-            except Exception:
-                attempts += 1
-                if attempts > self.retry.max_retries:
-                    raise
-                self._inc("fleet.shard.retries")
-                time.sleep(self.retry.backoff(attempts - 1))
-
 
 def _drain_worker(source, ledger_dir, plan_dict, engine, retry, max_rss_mb,
-                  lease_ttl_s, poll_s) -> None:
+                  lease_ttl_s, poll_s, profile, conn) -> None:
     """Child-process entry: drain the ledger and exit.
 
     Shard workers never write to the parent's observability sinks (a
-    fork-inherited trace file descriptor would interleave); outcome
-    metrics are recorded once, parent-side, from the merged result.
+    fork-inherited trace file descriptor would interleave) and never
+    poll the parent's fault plan (only the process that armed a plan
+    fires it).  With ``conn`` set, the child records into a fresh
+    metrics(+profiler) recorder and sends its wire snapshot home when
+    the drain is done; outcome metrics are recorded once, parent-side,
+    from the merged result.
     """
-    set_recorder(None)
+    set_recorder(None if conn is None else Recorder(metrics=True, profile=profile))
+    set_fault_injector(None)
     executor = _ShardExecutor(
         source,
         ShardPlan.from_dict(plan_dict),
@@ -743,6 +756,13 @@ def _drain_worker(source, ledger_dir, plan_dict, engine, retry, max_rss_mb,
         lease_ttl_s=lease_ttl_s,
     )
     executor.drain(poll_s)
+    if conn is not None:
+        rec = get_recorder()
+        wire = {"metrics": rec.metrics.to_wire()}
+        if rec.profiler is not None:
+            wire["profiler"] = rec.profiler.to_wire()
+        conn.send(wire)
+        conn.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -791,11 +811,13 @@ class ShardedFleetResult:
             fh.write("\n")
 
 
-def _merge_ledger(source, plan: ShardPlan, ledger: ShardLedger) -> tuple:
+def _merge_ledger(source, plan: ShardPlan, ledger: ShardLedger,
+                  packed_out: Optional[list] = None) -> tuple:
     """Fold every artifact in plan order; ``(aggregator | None, corrupt)``.
 
     Scans the whole plan even after the first corruption so one heal
-    round can quarantine every bad artifact at once.
+    round can quarantine every bad artifact at once.  ``packed_out``
+    collects each shard's packed device columns, in plan order.
     """
     agg = ShardAggregator(source.name, source.seed)
     corrupt = []
@@ -813,10 +835,100 @@ def _merge_ledger(source, plan: ShardPlan, ledger: ShardLedger) -> tuple:
             corrupt.append(key)
             continue
         if not corrupt:
-            agg.add_packed(jsonable_to_packed(body["devices"]))
+            packed = jsonable_to_packed(body["devices"])
+            agg.add_packed(packed, body.get("failures", ()))
+            if packed_out is not None:
+                packed_out.append(packed)
     if corrupt:
         return None, corrupt
     return agg, []
+
+
+#: How long the parent waits for a drain child's obs snapshot and exit
+#: once the ledger is merged.
+CHILD_JOIN_S = 10.0
+
+
+def _merge_child_obs(rec, wire: dict) -> None:
+    if rec.metrics is not None and "metrics" in wire:
+        rec.metrics.merge_wire(wire["metrics"])
+    if rec.profiler is not None and "profiler" in wire:
+        rec.profiler.merge_wire(wire["profiler"])
+
+
+def _drain(source, plan: ShardPlan, ledger: ShardLedger,
+           executor: _ShardExecutor, workers: int, poll_s: float,
+           packed_out: Optional[list] = None) -> ShardAggregator:
+    """Drain ``ledger`` with ``workers`` processes, heal it, merge it.
+
+    Forks ``workers - 1`` drain children that work-steal from the same
+    ledger; the calling process drains too, then merges in plan order,
+    quarantining and re-executing corrupt artifacts for up to
+    :data:`MAX_HEAL_ROUNDS` rounds.  With metrics on, each child ships
+    its metrics (and profiler) wire home over a pipe, merged in child
+    start order.  If anything raises, the children are terminated
+    before the error propagates.
+    """
+    rec = get_recorder()
+    children = []  # (process, receiving end of its obs pipe or None)
+    for _ in range(max(workers - 1, 0)):
+        recv = send = None
+        if rec.metrics is not None:
+            recv, send = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.Process(
+            target=_drain_worker,
+            args=(
+                source, ledger.root, plan.to_dict(), executor.engine,
+                executor.retry, executor.max_rss_mb, executor.lease_ttl_s,
+                poll_s, rec.profiler is not None, send,
+            ),
+        )
+        proc.start()
+        if send is not None:
+            send.close()  # the child's copy is the only writer now
+        children.append((proc, recv))
+    merged = False
+    try:
+        corrupt: list = []
+        for _ in range(1 + MAX_HEAL_ROUNDS):
+            executor.drain(poll_s)
+            if packed_out is not None:
+                packed_out.clear()
+            agg, corrupt = _merge_ledger(source, plan, ledger, packed_out)
+            if agg is not None:
+                break
+            for key in corrupt:
+                ledger.quarantine_shard(key)
+                executor._inc("fleet.shard.quarantined")
+        if agg is None:
+            raise CorruptShardError(
+                f"shard artifact(s) {corrupt} still failed verification "
+                f"after {MAX_HEAL_ROUNDS} quarantine-and-re-run round(s)"
+            )
+        merged = True
+    finally:
+        for proc, recv in children:
+            if not merged:
+                proc.terminate()
+            elif recv is not None and recv.poll(CHILD_JOIN_S):
+                try:
+                    _merge_child_obs(rec, recv.recv())
+                except EOFError:  # the child died before reporting
+                    pass
+            proc.join(CHILD_JOIN_S)
+            if proc.is_alive():  # pragma: no cover - wedged child
+                proc.terminate()
+                proc.join()
+    return agg
+
+
+def _ledger_meta(source) -> dict:
+    return {
+        "fleet": source.name,
+        "seed": int(source.seed),
+        "num_devices": source.num_devices,
+        "source_digest": source.source_digest(),
+    }
 
 
 def _record_outcome_metrics(metrics, agg: ShardAggregator, aggregate: dict,
@@ -896,13 +1008,7 @@ def run_sharded(
             f"shard plan covers {plan.num_devices} device(s) but fleet "
             f"{source.name!r} has {source.num_devices}"
         )
-    meta = {
-        "fleet": source.name,
-        "seed": int(source.seed),
-        "num_devices": source.num_devices,
-        "source_digest": source.source_digest(),
-    }
-    ledger.initialize(meta, plan, resume=resume)
+    ledger.initialize(_ledger_meta(source), plan, resume=resume)
     resumed = sum(1 for key in plan.keys() if ledger.has_shard(key))
     executor = _ShardExecutor(
         source,
@@ -919,39 +1025,7 @@ def run_sharded(
         shards=plan.num_shards,
         workers=workers,
     ):
-        procs = []
-        for _ in range(max(workers - 1, 0)):
-            proc = multiprocessing.Process(
-                target=_drain_worker,
-                args=(
-                    source, ledger.root, plan.to_dict(), engine,
-                    executor.retry, max_rss_mb, lease_ttl_s, poll_s,
-                ),
-            )
-            proc.start()
-            procs.append(proc)
-        try:
-            agg = None
-            corrupt: list = []
-            for _ in range(1 + MAX_HEAL_ROUNDS):
-                executor.drain(poll_s)
-                agg, corrupt = _merge_ledger(source, plan, ledger)
-                if agg is not None:
-                    break
-                for key in corrupt:
-                    ledger.quarantine_shard(key)
-                    executor._inc("fleet.shard.quarantined")
-            if agg is None:
-                raise CorruptShardError(
-                    f"shard artifact(s) {corrupt} still failed verification "
-                    f"after {MAX_HEAL_ROUNDS} quarantine-and-re-run round(s)"
-                )
-        finally:
-            for proc in procs:
-                proc.join(timeout=10.0)
-                if proc.is_alive():  # pragma: no cover - wedged child
-                    proc.terminate()
-                    proc.join()
+        agg = _drain(source, plan, ledger, executor, workers, poll_s)
     aggregate = agg.aggregate()
     ledger.write_report({"aggregate": aggregate})
     result = ShardedFleetResult(
@@ -961,8 +1035,8 @@ def run_sharded(
         num_shards=plan.num_shards,
         # A successful merge means every non-resumed shard was executed
         # (and published) during this run — counting the plan, not
-        # executor.executed, keeps the tally right when --shard-workers
-        # children (whose counters die with their process) did the work.
+        # executor.executed, keeps the tally right when drain children
+        # did the work.
         shards_executed=plan.num_shards - resumed,
         shards_resumed=resumed,
         shards_stolen=executor.stolen,
@@ -979,3 +1053,31 @@ def run_sharded(
         if resumed:
             metrics.inc("fleet.shard.resumed", resumed)
     return result
+
+
+def drain_fleet(spec: FleetSpec, workers: int, engine: str = "auto",
+                retry: Optional[RetryPolicy] = None) -> tuple:
+    """Run ``spec`` over ``workers`` processes; ``(devices, failures)``.
+
+    :class:`~repro.fleet.runner.FleetRunner`'s parallel path: one shard
+    per worker in a throwaway ledger, drained exactly like
+    :func:`run_sharded` (``workers - 1`` forked children plus the
+    calling process), then the per-device results are rebuilt from the
+    artifacts in plan order — byte-identical to an in-process run.  The
+    ledger directory is removed on return, whether the run succeeded or
+    raised.
+    """
+    source = FleetShardSource(spec)
+    plan = ShardPlan.from_counts(spec.num_devices, shards=workers)
+    packed: list = []
+    with tempfile.TemporaryDirectory(prefix="fleet-ledger-") as root:
+        ledger = ShardLedger(root)
+        ledger.initialize(_ledger_meta(source), plan)
+        executor = _ShardExecutor(
+            source, plan, ledger, engine=engine, retry=retry,
+            lease_ttl_s=DEFAULT_LEASE_TTL_S,  # read per call, not at import
+        )
+        agg = _drain(source, plan, ledger, executor, workers,
+                     FLEET_POLL_S, packed)
+    devices = [d for columns in packed for d in unpack_device_results(columns)]
+    return devices, [DeviceFailure(**f) for f in agg.failures]

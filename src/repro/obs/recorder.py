@@ -17,10 +17,10 @@ Usage::
         result = FleetRunner(spec).run()
     print(rec.metrics.to_dict())
 
-Worker processes never inherit the parent's sinks: the fleet dispatcher
-passes a flag down and each worker chunk runs under its own fresh
-metrics-only recorder, whose wire snapshot ships home with the packed
-device results (see ``repro.fleet.runner._run_chunk_packed``).
+Worker processes never inherit the parent's sinks: each shard-drain
+child runs under its own fresh metrics(+profiler) recorder and pipes
+its wire snapshot home when its drain is done (see
+``repro.fleet.shards._drain_worker``).
 """
 
 from __future__ import annotations

@@ -13,6 +13,41 @@ from repro.nn.network import MultiExitNetwork, Sequential
 
 
 @pytest.fixture
+def force_parallel(monkeypatch):
+    """Let ``FleetRunner(workers > 1)`` drain shards on any fleet, any host.
+
+    Below ``MIN_PARALLEL_DEVICES`` devices, or with one usable CPU, a
+    parallel request stays in-process; tests of the parallel path lift
+    both checks instead of needing a big fleet on a wide machine.
+    """
+    import repro.fleet.runner as runner
+
+    monkeypatch.setattr(runner, "MIN_PARALLEL_DEVICES", 1)
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def parent_drains_first(monkeypatch):
+    """Hold each forked drain child back for 0.2 s.
+
+    Only the process that armed a fault plan polls it, so a test that
+    counts fired faults needs the parent to claim the first shard; this
+    pins that instead of leaving it to the scheduler.
+    """
+    import time
+
+    import repro.fleet.shards as shards
+
+    drain_worker = shards._drain_worker
+
+    def late_drain_worker(*args):
+        time.sleep(0.2)
+        drain_worker(*args)
+
+    monkeypatch.setattr(shards, "_drain_worker", late_drain_worker)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 

@@ -4,8 +4,8 @@ The batched engine promises **bit-identical** results to the per-device
 simulator path for every eligible device: same per-device random streams
 (`SeedSequence(fleet_seed, spawn_key=(i,))` consumed in the same order),
 same ledger arithmetic, same records.  These tests pin that promise over
-every registered scenario, every controller preset, the pooled dispatch
-path, and (via hypothesis) randomly composed small fleets.
+every registered scenario, every controller preset, the parallel
+shard-drain path, and (via hypothesis) randomly composed small fleets.
 """
 
 import json
@@ -32,13 +32,13 @@ def _payload(result) -> str:
 class TestScenarioEquivalence:
     @pytest.mark.parametrize("name,overrides", SCENARIO_CASES,
                              ids=[c[0] for c in SCENARIO_CASES])
-    def test_batched_equals_device_equals_pooled(self, name, overrides):
+    def test_batched_equals_device_equals_pooled(
+        self, name, overrides, force_parallel
+    ):
         spec = SCENARIOS.build(name, **overrides)
         auto = FleetRunner(spec, workers=1, engine="auto").run()
         device = FleetRunner(spec, workers=1, engine="device").run()
-        pooled = FleetRunner(
-            spec, workers=2, engine="auto", parallel_threshold=1
-        ).run()
+        pooled = FleetRunner(spec, workers=2, engine="auto").run()
         assert _payload(auto) == _payload(device)
         assert _payload(auto) == _payload(pooled)
 
@@ -341,16 +341,15 @@ class TestParallelFallback:
         assert not runner.last_run_parallel
         assert result.workers == 1  # timing section reports what really ran
 
-    def test_explicit_threshold_forces_pool(self):
+    def test_explicit_threshold_forces_pool(self, force_parallel):
+        """Lifting the device floor and the CPU check takes the shard
+        drain: ``workers`` processes, results identical to in-process."""
         spec = SCENARIOS.build("dev-smoke", num_devices=5)
-        runner = FleetRunner(spec, workers=2, parallel_threshold=1)
+        runner = FleetRunner(spec, workers=2)
         result = runner.run()
         assert runner.last_run_parallel
         assert result.workers == 2
-
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigError, match="parallel_threshold"):
-            FleetRunner(SCENARIOS.build("dev-smoke"), parallel_threshold=0)
+        assert _payload(result) == _payload(FleetRunner(spec).run())
 
 
 #: Trace families with cheap synthesis for the property test.
@@ -432,15 +431,15 @@ class TestPropertyEquivalence:
 
 @pytest.mark.fleet_heavy
 class TestFullScaleBatch:
-    def test_city_block_1k_batched_serial_and_parallel_agree(self):
+    def test_city_block_1k_batched_serial_and_parallel_agree(
+        self, force_parallel
+    ):
         spec = SCENARIOS.build("city-block-1k")
         assert spec.num_devices == 1000
         # Strict engine="batched": since PR 5 every city-block device
         # (including the intermittent baselines) is batch-eligible.
         serial = FleetRunner(spec, workers=1, engine="batched").run()
-        parallel = FleetRunner(
-            spec, workers=4, engine="auto", parallel_threshold=1
-        ).run()
+        parallel = FleetRunner(spec, workers=4, engine="auto").run()
         assert serial.num_devices == 1000
         assert _payload(serial) == _payload(parallel)
 
@@ -455,14 +454,12 @@ class TestFullScaleBatch:
     @pytest.mark.parametrize(
         "name", ["brownout-grid-256", "duty-cycle-farm-512"]
     )
-    def test_intermittency_heavy_scenarios_full_scale(self, name):
+    def test_intermittency_heavy_scenarios_full_scale(self, name, force_parallel):
         """The PR-5 scenarios at their registered size: strict batched
         run, serial == parallel, and an engine cross-check on a slice."""
         spec = SCENARIOS.build(name)
         serial = FleetRunner(spec, workers=1, engine="batched").run()
-        parallel = FleetRunner(
-            spec, workers=4, engine="auto", parallel_threshold=1
-        ).run()
+        parallel = FleetRunner(spec, workers=4, engine="auto").run()
         assert _payload(serial) == _payload(parallel)
         small = SCENARIOS.build(name, num_devices=32)
         assert _payload(FleetRunner(small, engine="batched").run()) == \

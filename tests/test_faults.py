@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.faults import (
-    DEFAULT_CHAOS_TIMEOUT_S,
     FAULT_SITES,
     Fault,
     FaultInjector,
@@ -174,14 +173,12 @@ class TestRetryPolicy:
     def test_defaults_validate(self):
         policy = RetryPolicy()
         assert policy.max_retries == 2
-        assert policy.worker_timeout is None
+        assert policy.backoff_s == 0.05
 
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},
-        {"worker_timeout": 0.0},
         {"backoff_s": -0.1},
         {"backoff_factor": 0.5},
-        {"straggler_grace_s": -1.0},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -192,12 +189,6 @@ class TestRetryPolicy:
         assert policy.backoff(0) == pytest.approx(0.1)
         assert policy.backoff(1) == pytest.approx(0.3)
         assert policy.backoff(2) == pytest.approx(0.9)
-
-    def test_effective_timeout(self):
-        assert RetryPolicy().effective_timeout(False) is None
-        assert RetryPolicy().effective_timeout(True) == DEFAULT_CHAOS_TIMEOUT_S
-        assert RetryPolicy(worker_timeout=2.5).effective_timeout(False) == 2.5
-        assert RetryPolicy(worker_timeout=2.5).effective_timeout(True) == 2.5
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -245,10 +245,12 @@ class TestRunner:
         b = run_fleet(spec).to_dict()
         assert a == b
 
-    def test_parallel_matches_serial_bitwise(self):
+    def test_parallel_matches_serial_bitwise(self, force_parallel):
         spec = SCENARIOS.build("dev-smoke", num_devices=5)
         serial = FleetRunner(spec, workers=1).run()
-        parallel = FleetRunner(spec, workers=2, chunksize=1).run()
+        runner = FleetRunner(spec, workers=2)
+        parallel = runner.run()
+        assert runner.last_run_parallel
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
             parallel.to_dict(), sort_keys=True
         )
@@ -294,8 +296,6 @@ class TestRunner:
     def test_bad_worker_config_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             FleetRunner(tiny_fleet(), workers=-1)
-        with pytest.raises(ConfigError, match="chunksize"):
-            FleetRunner(tiny_fleet(), chunksize=0)
         with pytest.raises(ConfigError, match="FleetSpec"):
             FleetRunner("solar-farm-100")
 

@@ -1,10 +1,11 @@
-"""Fault-tolerant fleet dispatch: retries, watchdog, degradation, quarantine.
+"""Fault-tolerant fleet execution: retries, degradation, quarantine, leases.
 
 The contract under test: for any *recoverable* injected fault schedule —
-worker crashes, raised exceptions, hangs past the watchdog, transient
-OSErrors, corrupted wire payloads — the completed :class:`FleetResult`
-is bit-identical to a fault-free run, with the recovery visible only in
-``fleet.retry.*`` / ``fault.injected.*`` counters.  Truly unrecoverable
+crashes, raised exceptions, hangs, transient OSErrors, corrupted
+payloads, and killed or stopped drain children — the completed
+:class:`FleetResult` is bit-identical to a fault-free run, with the
+recovery visible only in ``fleet.retry.*`` / ``fleet.shard.*`` /
+``fault.injected.*`` counters.  Truly unrecoverable
 devices are quarantined as :class:`DeviceFailure` records instead of
 aborting the fleet, and spec problems (:class:`ConfigError`) are never
 retried.
@@ -12,10 +13,12 @@ retried.
 
 from __future__ import annotations
 
+import glob
 import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 import time
 
@@ -31,7 +34,7 @@ from repro.fleet.results import (
     seal_payload,
     verify_payload,
 )
-from repro.fleet.runner import LazyPool, run_device_batch
+from repro.fleet.runner import run_device_batch
 from repro.obs import Recorder, recording
 
 
@@ -99,7 +102,7 @@ class TestPayloadIntegrity:
 
 
 # --------------------------------------------------------------------- #
-# Serial dispatch under chaos
+# In-process execution under chaos
 # --------------------------------------------------------------------- #
 
 
@@ -217,6 +220,28 @@ class TestSerialChaos:
         assert rec.metrics.counter_value("fleet.retry.splits") == 1
         assert aggregate_of(result) == clean
 
+    def test_real_failure_without_chaos_takes_the_ladder(self, monkeypatch):
+        """Chaos off, the first attempt is a bare engine call; a genuine
+        failure still walks the same recovery ladder."""
+        import repro.fleet.runner as runner
+
+        spec = tiny_fleet()
+        clean = run_clean(spec)
+        calls = []
+
+        def flaky(tasks, engine="auto"):
+            calls.append(len(tasks))
+            if len(calls) == 1:
+                raise OSError("transient")
+            return run_device_batch(tasks, engine)
+
+        monkeypatch.setattr(runner, "run_device_batch", flaky)
+        with recording(Recorder(metrics=True)) as rec:
+            result = FleetRunner(spec, retry=FAST).run()
+        assert calls == [6, 6]
+        assert aggregate_of(result) == clean
+        assert rec.metrics.counter_value("fleet.retry.attempts") == 1
+
     def test_fault_free_plan_changes_nothing(self):
         spec = tiny_fleet()
         clean = run_clean(spec)
@@ -226,177 +251,158 @@ class TestSerialChaos:
 
 
 # --------------------------------------------------------------------- #
-# Pooled dispatch under chaos
+# Parallel (shard-drained) execution under faults
 # --------------------------------------------------------------------- #
 
 
-POOLED = dict(workers=2, parallel_threshold=1)
+def slow_fleet() -> FleetSpec:
+    """Four devices at ~0.3 s each: two shards slow enough that a signal
+    lands while a drain child is mid-shard."""
+    devices = [
+        DeviceSpec(
+            name=f"slow-{i}",
+            trace={"family": "solar", "duration": 40000.0, "dt": 1.0, "peak_mw": 0.03},
+            controller={"kind": "qlearning"},
+            events={"kind": "uniform", "count": 20000},
+        )
+        for i in range(4)
+    ]
+    return FleetSpec(name="slow", seed=21, devices=devices)
 
 
+def child_lease(root: str):
+    """``(pid, shard key)`` of a drain child's lease in any ledger under
+    ``root``, or ``None`` while no child holds one."""
+    for path in glob.glob(os.path.join(root, "*", "leases", "*.lease")):
+        try:
+            with open(path) as fh:
+                pid = json.load(fh)["pid"]
+        except (OSError, ValueError, KeyError):
+            continue  # not yet written, or just released
+        if pid != os.getpid():
+            return pid, os.path.basename(path)[: -len(".lease")]
+    return None
+
+
+def run_with_signal(spec, root: str, on_lease) -> tuple:
+    """Run ``spec`` on two workers while a watcher thread waits for a
+    drain child to hold a lease and calls ``on_lease(pid, key, stop)``;
+    ``stop`` is set once the run has returned."""
+    stop = threading.Event()
+    hit = []
+
+    def watcher():
+        while not stop.is_set():
+            found = child_lease(root)
+            if found is not None:
+                hit.append(found)
+                on_lease(*found, stop)
+                return
+            time.sleep(0.001)
+
+    thread = threading.Thread(target=watcher)
+    with recording(Recorder(metrics=True)) as rec:
+        thread.start()
+        try:
+            result = FleetRunner(spec, workers=2, retry=FAST).run()
+        finally:
+            stop.set()
+            thread.join()
+    assert hit, "no drain child ever held a lease"
+    return result, rec
+
+
+@pytest.fixture
+def short_leases(tmp_path, monkeypatch):
+    """Throwaway ledgers under ``tmp_path``, with a 0.3 s lease TTL."""
+    import repro.fleet.shards as shards
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(shards, "DEFAULT_LEASE_TTL_S", 0.3)
+    return str(tmp_path)
+
+
+@pytest.mark.usefixtures("force_parallel")
 class TestPooledChaos:
-    def test_worker_crash_recovers_bit_identical(self):
+    """``FleetRunner(workers=2)`` under faults.
+
+    The drain children are the worker pool.  Process-level faults map
+    onto the shard ledger: a crashed child's shard is stolen once its
+    lease expires, a hung child's lease expires the same way and its
+    late publish is digest-verified, a corrupt artifact is quarantined
+    and re-executed.  ``fleet.chunk`` faults go through the recovery
+    ladder of the process that armed the plan; children run disarmed.
+    """
+
+    def test_worker_crash_recovers_bit_identical(self, parent_drains_first):
         spec = tiny_fleet()
         clean = run_clean(spec)
         plan = FaultPlan([Fault("fleet.chunk", 0, "crash")])
-        policy = RetryPolicy(max_retries=2, worker_timeout=2.0, backoff_s=0.0)
-        with recording(Recorder(metrics=True)) as rec, chaos(plan):
-            result = FleetRunner(spec, retry=policy, **POOLED).run()
+        with recording(Recorder(metrics=True)) as rec, chaos(plan) as injector:
+            result = FleetRunner(spec, workers=2, retry=FAST).run()
         assert aggregate_of(result) == clean
-        assert rec.metrics.counter_value("fleet.retry.timeouts") >= 1
-        assert rec.metrics.counter_value("fleet.retry.attempts") >= 1
+        assert injector.fired_summary() == {"fleet.chunk.crash": 1}
+        assert rec.metrics.counter_value("fleet.retry.attempts") == 1
 
-    def test_hang_straggler_verified_bit_identical(self):
+    def test_hang_straggler_verified_bit_identical(self, short_leases):
+        spec = slow_fleet()
+        clean = run_clean(spec)
+
+        def hang_until_stolen(pid, key, stop):
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                artifact = glob.glob(
+                    os.path.join(short_leases, "*", "shards", f"{key}.json")
+                )
+                while not artifact and not stop.is_set():
+                    time.sleep(0.005)
+                    artifact = glob.glob(
+                        os.path.join(short_leases, "*", "shards", f"{key}.json")
+                    )
+            finally:
+                os.kill(pid, signal.SIGCONT)
+
+        result, rec = run_with_signal(spec, short_leases, hang_until_stolen)
+        assert aggregate_of(result) == clean
+        assert rec.metrics.counter_value("fleet.shard.leases_stolen") >= 1
+        # The woken child finished the shard anyway; its publish lost the
+        # race and matched the thief's artifact bit for bit (the count
+        # comes home with the child's metrics).
+        assert rec.metrics.counter_value("fleet.shard.straggler_verified") >= 1
+
+    def test_corrupt_payload_detected_and_retried(self, parent_drains_first):
         spec = tiny_fleet()
         clean = run_clean(spec)
-        plan = FaultPlan([Fault("fleet.chunk", 0, "hang", {"seconds": 1.0})])
-        policy = RetryPolicy(
-            max_retries=2, worker_timeout=0.3, backoff_s=0.0, straggler_grace_s=3.0
+        plan = FaultPlan([Fault("fleet.shard.save", 0, "bitflip")])
+        with recording(Recorder(metrics=True)) as rec, chaos(plan):
+            result = FleetRunner(spec, workers=2, retry=FAST).run()
+        assert aggregate_of(result) == clean
+        assert rec.metrics.counter_value("fleet.shard.quarantined") == 1
+
+    def test_sigkill_a_pool_child_mid_run(self, short_leases):
+        spec = slow_fleet()
+        clean = FleetRunner(spec).run().to_dict()
+
+        def kill(pid, key, stop):
+            os.kill(pid, signal.SIGKILL)
+
+        result, rec = run_with_signal(spec, short_leases, kill)
+        assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+            clean, sort_keys=True
         )
-        with recording(Recorder(metrics=True)) as rec, chaos(plan):
-            result = FleetRunner(spec, retry=policy, **POOLED).run()
-        assert aggregate_of(result) == clean
-        # the sleeping attempt finished late and its payload matched the
-        # accepted re-execution — the production determinism assert fired
-        assert rec.metrics.counter_value("fleet.straggler.verified") >= 1
+        assert rec.metrics.counter_value("fleet.shard.leases_stolen") >= 1
+        assert multiprocessing.active_children() == []
 
-    def test_corrupt_payload_detected_and_retried(self):
-        spec = tiny_fleet()
-        clean = run_clean(spec)
-        plan = FaultPlan([Fault("fleet.chunk", 0, "corrupt_payload")])
-        with recording(Recorder(metrics=True)) as rec, chaos(plan):
-            result = FleetRunner(spec, retry=FAST, **POOLED).run()
-        assert aggregate_of(result) == clean
-        assert rec.metrics.counter_value("fleet.retry.failures") >= 1
-
-    def test_sigkill_a_pool_child_mid_run(self):
-        """The integration test: a child process is SIGKILLed from outside
-        mid-dispatch; the fleet must complete bit-identically with the
-        retries visible in counters (and the pool must not wedge)."""
-        # Slow devices (20k events of q-learning each, ~0.4s per chunk)
-        # keep both workers busy long enough that the kill lands mid-chunk.
-        devices = [
-            DeviceSpec(
-                name=f"slow-{i}",
-                trace={
-                    "family": "solar",
-                    "duration": 40000.0,
-                    "dt": 1.0,
-                    "peak_mw": 0.03,
-                },
-                controller={"kind": "qlearning"},
-                events={"kind": "uniform", "count": 20000},
-            )
-            for i in range(8)
-        ]
-        spec = FleetSpec(name="sigkill", seed=21, devices=devices)
-        clean = run_clean(spec)
-
-        # A SIGKILL can take the pool's shared task-queue lock down with
-        # the worker, wedging every later dispatch — the ladder then walks
-        # each chunk down to the in-parent serial attempt.  A short
-        # watchdog keeps that worst case fast; recovery must still be
-        # bit-identical.
-        def run_with_assassin():
-            runner = FleetRunner(
-                spec,
-                workers=2,
-                parallel_threshold=1,
-                chunksize=2,
-                retry=RetryPolicy(max_retries=1, worker_timeout=0.5, backoff_s=0.0),
-            )
-            stop = threading.Event()
-
-            def assassin():
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline and not stop.is_set():
-                    children = multiprocessing.active_children()
-                    if children:
-                        time.sleep(0.15)  # let the child pick up its chunk
-                        victims = multiprocessing.active_children()
-                        if victims:
-                            os.kill(victims[0].pid, signal.SIGKILL)
-                        return
-                    time.sleep(0.001)
-
-            thread = threading.Thread(target=assassin)
-            with recording(Recorder(metrics=True)) as rec:
-                thread.start()
-                try:
-                    result = runner.run()
-                finally:
-                    stop.set()
-                    thread.join()
-            return result, rec
-
-        # A kill can land on a worker that has not picked up a chunk yet
-        # (the pool just respawns it and nothing is lost), so allow a few
-        # attempts for the murder to hit mid-chunk. Every attempt must be
-        # bit-identical regardless of where the kill landed.
-        for _ in range(3):
-            result, rec = run_with_assassin()
-            assert aggregate_of(result) == clean
-            if rec.metrics.counter_value("fleet.retry.timeouts") >= 1:
-                break
-        # the murdered chunk timed out and was re-dispatched
-        assert rec.metrics.counter_value("fleet.retry.timeouts") >= 1
-        assert rec.metrics.counter_value("fleet.retry.attempts") >= 1
-
-    def test_pool_children_reaped_when_run_raises(self):
-        """Regression: a run that raises mid-dispatch must not leak live
-        worker processes from its self-owned pool."""
+    def test_pool_children_reaped_when_run_raises(self, short_leases):
+        """A run that raises leaves no drain child and no ledger behind."""
         spec = FleetSpec(
             name="leak", seed=1, devices=[tiny_device(f"d{i}") for i in range(4)]
         )
         object.__setattr__(spec.devices[2], "profile", "mystery-net")
-        before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises(ConfigError):
-            FleetRunner(spec, workers=2, parallel_threshold=1, chunksize=1).run()
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            leaked = {p.pid for p in multiprocessing.active_children()} - before
-            if not leaked:
-                break
-            time.sleep(0.01)
-        assert not leaked, f"leaked pool children: {leaked}"
-
-    def test_external_lazy_pool_survives_chaos(self):
-        spec = tiny_fleet()
-        clean = run_clean(spec)
-        plan = FaultPlan([Fault("fleet.chunk", 0, "exception")])
-        pool = LazyPool(2)
-        runner = FleetRunner(spec, parallel_threshold=1, retry=FAST)
-        try:
-            with chaos(plan):
-                result = runner.run(pool=pool)
-        finally:
-            pool.shutdown()
-        assert aggregate_of(result) == clean
-
-    def test_abandoned_straggler_recycles_the_pool(self):
-        """A straggler that never surfaces means a wedged/dead worker; the
-        dispatcher must force-terminate the pool on the spot (instead of
-        letting teardown stall on a join the workers can no longer reach)
-        and a long-lived LazyPool must respawn cleanly on its next run."""
-        spec = tiny_fleet()
-        clean = run_clean(spec)
-        plan = FaultPlan([Fault("fleet.chunk", 0, "hang", {"seconds": 30.0})])
-        policy = RetryPolicy(
-            max_retries=2, worker_timeout=0.2, backoff_s=0.0, straggler_grace_s=0.1
-        )
-        pool = LazyPool(2)
-        runner = FleetRunner(spec, parallel_threshold=1, retry=policy)
-        try:
-            with recording(Recorder(metrics=True)) as rec, chaos(plan):
-                result = runner.run(pool=pool)
-            assert aggregate_of(result) == clean
-            assert rec.metrics.counter_value("fleet.straggler.abandoned") >= 1
-            assert rec.metrics.counter_value("fleet.pool.recycled") == 1
-            # the sleeping worker was terminated with its pool, not leaked
-            assert pool._pool is None
-            # ... and the same LazyPool respawns for the next fleet
-            assert aggregate_of(runner.run(pool=pool)) == clean
-        finally:
-            pool.shutdown()
+            FleetRunner(spec, workers=2).run()
+        assert multiprocessing.active_children() == []
+        assert os.listdir(short_leases) == []
 
 
 # --------------------------------------------------------------------- #

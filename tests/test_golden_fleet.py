@@ -80,21 +80,17 @@ def test_engine_choice_matches_golden(path, engine):
     assert json.loads(json.dumps(result.aggregate())) == golden["aggregate"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in GOLDEN_FILES if "dev-smoke" in p or "mixed" in p],
-    ids=_case_id,
-)
-def test_parallel_aggregate_matches_golden(path):
-    """Worker processes must reproduce the same bits as the serial run.
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=_case_id)
+def test_parallel_aggregate_matches_golden(path, force_parallel):
+    """Drain processes must reproduce the same bits as the serial run.
 
-    ``parallel_threshold=1`` forces the pool path (these fleets are below
-    the auto fallback floor, and the whole point here is to exercise the
-    chunked batch dispatch + packed wire form end to end).
+    ``force_parallel`` lifts the fallback (these fleets are below the
+    device floor, and the whole point here is to exercise the shard
+    drain, the sealed artifacts and the per-device rebuild end to end).
     """
     golden = _load(path)
     spec = SCENARIOS.build(golden["scenario"], **golden["overrides"])
-    result = FleetRunner(spec, workers=2, chunksize=1, parallel_threshold=1).run()
+    result = FleetRunner(spec, workers=2).run()
     assert json.loads(json.dumps(result.aggregate())) == golden["aggregate"]
 
 

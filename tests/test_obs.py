@@ -132,11 +132,11 @@ _CHUNKS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(chunks=_CHUNKS)
 def test_merged_worker_registries_equal_serial(chunks):
-    """Dispatch-order merge of per-chunk registries == one serial registry.
+    """Ordered merge of per-worker registries == one serial registry.
 
-    This is exactly the fleet dispatcher's contract: each worker chunk
-    builds its own registry, ships the wire form home, and the parent
-    merges in dispatch order (see repro.fleet.runner._merge_worker_obs).
+    This is exactly the shard drain's contract: each drain child builds
+    its own registry, ships the wire form home, and the parent merges in
+    child start order (see repro.fleet.shards._drain).
     """
     serial = MetricsRegistry()
     for chunk in chunks:

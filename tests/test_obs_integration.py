@@ -67,16 +67,14 @@ def test_goldens_bit_identical_with_obs_on(path, engine, tmp_path):
     assert [s["name"] for s in spans if s["type"] == "span"] == ["fleet.run"]
 
 
-def test_golden_bit_identical_forced_pool_with_obs_on():
+def test_golden_bit_identical_forced_pool_with_obs_on(force_parallel):
     path = OBS_GOLDENS[1]
     golden = _load_golden(path)
     spec = SCENARIOS.build(golden["scenario"], **golden["overrides"])
     with recording(profile=True) as rec:
-        result = FleetRunner(
-            spec, workers=2, chunksize=1, parallel_threshold=1
-        ).run()
+        result = FleetRunner(spec, workers=2).run()
     assert json.loads(json.dumps(result.aggregate())) == golden["aggregate"]
-    # Engine internals came home over the wire from the worker processes.
+    # Engine internals came home over the pipe from the drain children.
     assert rec.metrics.counter_value("batch.engine.devices") == spec.num_devices
     assert rec.profiler.counts.get("batch.lockstep.passes", 0) > 0
 
@@ -106,8 +104,8 @@ def test_fleet_outcome_metrics_describe_the_run():
     assert m.counter_value("fleet.devices.fallback") == 0
 
 
-def test_parent_outcome_metrics_identical_serial_vs_pool():
-    """Worker count and chunking never change the outcome registry."""
+def test_parent_outcome_metrics_identical_serial_vs_pool(force_parallel):
+    """Worker count and sharding never change the outcome registry."""
     spec = SCENARIOS.build("mixed-harvester-city", num_devices=4)
 
     def outcome(registry):
@@ -120,10 +118,10 @@ def test_parent_outcome_metrics_identical_serial_vs_pool():
     with recording() as serial_rec:
         FleetRunner(spec, workers=1).run()
     with recording() as pool_rec:
-        FleetRunner(spec, workers=2, chunksize=1, parallel_threshold=1).run()
+        FleetRunner(spec, workers=2).run()
     assert outcome(serial_rec.metrics) == outcome(pool_rec.metrics)
     # Engine internals are recorded where the engine runs; the *totals*
-    # still agree across dispatch shapes.
+    # still agree across shard plans.
     assert serial_rec.metrics.counter_value(
         "batch.engine.devices"
     ) == pool_rec.metrics.counter_value("batch.engine.devices")
@@ -188,6 +186,26 @@ def test_fleet_cli_trace_metrics_profile(tmp_path, capsys):
     assert payload["profiler"]["counts"]  # profile flag wired through
     out = capsys.readouterr().out
     assert "wrote trace to" in out and "wrote metrics to" in out
+
+
+def test_fleet_cli_parallel_metrics_match_serial(tmp_path, capsys, force_parallel):
+    """``--workers 2 --metrics-out``: every device's engine counters come
+    home from the drain children, and the outcome counters are the
+    in-process run's."""
+
+    def counters(workers):
+        path = tmp_path / f"metrics-{workers}.json"
+        assert fleet_main(["run", "dev-smoke", "--quiet", "--workers",
+                           str(workers), "--metrics-out", str(path)]) == 0
+        with open(path) as fh:
+            return json.load(fh)["metrics"]["counters"]
+
+    serial, parallel = counters(1), counters(2)
+    assert parallel["batch.engine.devices"] == parallel["fleet.devices"] == 5
+    assert {k: v for k, v in parallel.items() if k.startswith("fleet.")} == {
+        k: v for k, v in serial.items() if k.startswith("fleet.")
+    }
+    assert "with 2 worker(s)" in capsys.readouterr().out
 
 
 def test_fleet_cli_explain(capsys):

@@ -5,8 +5,8 @@ This is the tentpole guarantee of ``repro.faults``, stated as properties
 rather than examples:
 
 * **fleet level** — random small fleets × random seeded
-  :class:`FaultPlan`\\ s over the ``fleet.chunk`` site, serial and
-  forced-pool: the completed :class:`FleetResult` aggregate (and its
+  :class:`FaultPlan`\\ s over the ``fleet.chunk`` site, in-process and
+  through the forced-parallel shard drain: the completed :class:`FleetResult` aggregate (and its
   canonical JSON bytes) equal the fault-free run's, with zero
   quarantines, because the plan's fault count never exceeds the retry
   budget;
@@ -32,9 +32,6 @@ from repro.fleet import DeviceSpec, FleetRunner, FleetSpec
 
 MAX_RETRIES = 3  # plan fault counts stay <= this, so plans are recoverable
 SERIAL_POLICY = RetryPolicy(max_retries=MAX_RETRIES, backoff_s=0.0)
-POOL_POLICY = RetryPolicy(
-    max_retries=MAX_RETRIES, worker_timeout=1.5, backoff_s=0.0, straggler_grace_s=3.0
-)
 
 TRACES = [
     {"family": "solar", "duration": 300.0, "dt": 1.0, "peak_mw": 0.03},
@@ -91,20 +88,28 @@ def test_serial_fleet_survives_any_recoverable_plan(
     assert canonical(result) == clean_bytes(n_devices, fleet_seed)
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 @given(
     plan_seed=st.integers(min_value=0, max_value=10_000),
     n_faults=st.integers(min_value=1, max_value=MAX_RETRIES),
 )
-def test_pooled_fleet_survives_any_recoverable_plan(plan_seed, n_faults):
+def test_pooled_fleet_survives_any_recoverable_plan(
+    plan_seed, n_faults, force_parallel
+):
+    # The parent polls fleet.chunk for the shards it drains itself; the
+    # drain children run with the plan disarmed.
     plan = FaultPlan.random(
         plan_seed, faults=n_faults, sites=["fleet.chunk"], horizon=6, max_hang_s=0.1
     )
     spec = build_fleet(4, 1)
     with chaos(plan):
-        result = FleetRunner(
-            spec, workers=2, parallel_threshold=1, retry=POOL_POLICY
-        ).run()
+        runner = FleetRunner(spec, workers=2, retry=SERIAL_POLICY)
+        result = runner.run()
+    assert runner.last_run_parallel
     assert result.failures == []
     assert canonical(result) == clean_bytes(4, 1)
 

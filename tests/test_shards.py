@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError, CorruptShardError, IntegrityError
-from repro.faults import Fault, FaultPlan, chaos
+from repro.faults import Fault, FaultPlan, RetryPolicy, chaos
 from repro.fleet.results import (
     ShardAggregator,
     jsonable_to_packed,
@@ -194,6 +194,14 @@ class TestShardLedger:
             os.path.join(ledger.quarantine_dir, f"{key}.json")
         )
 
+    def test_clean_artifact_carries_no_failures_key(self, tmp_path, baseline):
+        spec, _ = baseline
+        ledger_dir = str(tmp_path / "led")
+        run_sharded(FleetShardSource(spec), ledger_dir, shards=2)
+        ledger = ShardLedger(ledger_dir)
+        for key in ShardPlan.from_counts(spec.num_devices, shards=2).keys():
+            assert "failures" not in ledger.load_shard(key)
+
     def test_wrong_range_in_artifact_is_corrupt(self, tmp_path, baseline):
         spec, expected = baseline
         ledger_dir = str(tmp_path / "led")
@@ -294,6 +302,14 @@ class TestShardedIdentity:
         )
         assert canonical(result.aggregate()) == expected
 
+    def test_drain_children_ship_engine_metrics_home(self, tmp_path, baseline):
+        spec, _ = baseline
+        with recording(Recorder(metrics=True, profile=True)) as rec:
+            run_sharded(FleetShardSource(spec), str(tmp_path / "led"),
+                        shards=6, workers=3)
+        assert rec.metrics.counter_value("batch.engine.devices") == 6
+        assert rec.profiler.counts.get("batch.lockstep.passes", 0) > 0
+
     def test_resume_runs_only_missing_shards(self, tmp_path, baseline):
         spec, expected = baseline
         ledger_dir = str(tmp_path / "led")
@@ -385,6 +401,54 @@ class TestShardChaos:
             )
         assert canonical(result.aggregate()) == expected
 
+    def test_children_do_not_replay_the_parents_plan(self, tmp_path):
+        """Only the process that armed a plan fires it: one save fault
+        damages one artifact, however many drain children fork."""
+        spec = SCENARIOS.build("dev-smoke", num_devices=12)
+        expected = canonical(FleetRunner(spec).run().aggregate())
+        plan = FaultPlan([Fault(site="fleet.shard.save", when=0, op="bitflip")])
+        ledger_dir = tmp_path / "led"
+        with chaos(plan) as injector:
+            result = run_sharded(
+                FleetShardSource(spec), str(ledger_dir), shards=6, workers=3
+            )
+        # The parent fires the fault at its first publish; a child
+        # replaying the plan would damage one more artifact each.
+        assert injector.fired_summary() == {"fleet.shard.save.bitflip": 1}
+        assert len(os.listdir(ledger_dir / "quarantine")) == 1
+        assert canonical(result.aggregate()) == expected
+
+    def test_quarantined_device_reaches_both_results(
+        self, tmp_path, force_parallel, parent_drains_first
+    ):
+        """A device quarantined inside a shard is listed by the sharded
+        aggregate and by the FleetResult a parallel run rebuilds."""
+        spec = tiny_fleet(n=4)
+        # max_retries=0: the first shard's chunk attempt fails and splits;
+        # its first device fails twice more (its own attempt and the last
+        # one) and is quarantined, its second fails once and recovers.
+        plan = [Fault(site="fleet.chunk", when=i, op="exception")
+                for i in range(4)]
+        policy = RetryPolicy(max_retries=0, backoff_s=0.0)
+        with chaos(FaultPlan(plan)):
+            serial = FleetRunner(spec, retry=policy).run()
+        with chaos(FaultPlan(plan)):
+            sharded = run_sharded(FleetShardSource(spec), str(tmp_path / "led"),
+                                  shards=2, retry=policy)
+        assert [f.index for f in serial.failures] == [0]
+        assert canonical(sharded.aggregate()) == canonical(serial.aggregate())
+        with chaos(FaultPlan(plan)):
+            parallel = FleetRunner(spec, workers=2, retry=policy).run()
+        # The parent drained shard 0 first and quarantined its first
+        # device; the drain child ran disarmed.
+        assert [f.to_dict() for f in parallel.failures] == [
+            f.to_dict() for f in serial.failures
+        ]
+        assert parallel.num_devices == 3
+        assert parallel.aggregate()["failures"] == [
+            f.to_dict() for f in parallel.failures
+        ]
+
     def test_merge_oserror_is_retried(self, tmp_path, baseline):
         spec, expected = baseline
         plan = FaultPlan([
@@ -418,6 +482,16 @@ class TestCampaignShardRouting:
         # Every oversized cell left a ledger behind.
         ledgers = os.listdir(sharded / "shard-ledgers")
         assert len(ledgers) == spec.num_cells
+
+    def test_storeless_campaign_removes_its_temp_ledgers(self, tmp_path,
+                                                          monkeypatch):
+        import tempfile
+
+        from repro.campaign import CAMPAIGNS, run_campaign
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_campaign(CAMPAIGNS.build("dev-smoke"), shard_devices=1)
+        assert os.listdir(tmp_path) == []
 
     def test_sharded_cell_resumes_at_shard_granularity(self, tmp_path):
         from repro.campaign import CAMPAIGNS, run_campaign
@@ -556,11 +630,16 @@ class TestShardCLI:
         assert self.run_cli("run", "dev-smoke", "--shards", "2") == 2
         assert "--ledger" in capsys.readouterr().err
 
-    def test_workers_flag_conflicts_with_sharding(self, tmp_path, capsys):
-        assert self.run_cli("run", "dev-smoke", "--shards", "2",
+    def test_workers_flag_drives_shard_drain(self, tmp_path, capsys):
+        plain, sharded = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert self.run_cli("run", "dev-smoke", "--quiet",
+                            "--json", plain) == 0
+        assert self.run_cli("run", "dev-smoke", "--quiet", "--shards", "3",
                             "--ledger", str(tmp_path / "led"),
-                            "--workers", "4") == 2
-        assert "--shard-workers" in capsys.readouterr().err
+                            "--workers", "2", "--json", sharded) == 0
+        assert "with 2 worker(s)" in capsys.readouterr().out
+        a, b = json.load(open(plain)), json.load(open(sharded))
+        assert canonical(a["aggregate"]) == canonical(b["aggregate"])
 
     def test_explain_with_chaos_validates_and_lists_sites(
         self, tmp_path, capsys
