@@ -12,16 +12,85 @@ traces support ablations and heterogeneous fleet scenarios, and
 A :class:`PowerTrace` stores power samples on a uniform grid and exposes
 interpolation, windowed means (the runtime's "charging efficiency" signal),
 and exact cumulative-energy queries used by the simulator.
+
+Each seeded family is written once, in two halves:
+
+* a per-device *draw* that consumes that device's own generator in the
+  family's fixed order (OU noise, gust / burst / on-off schedules, sensor
+  noise) and returns the raw variates;
+* a stacked *shape* that turns a block of devices' draws into a
+  ``(devices, samples)`` power matrix: one OU scan for the whole block
+  (:func:`_ou_scan`), then the family's elementwise shaping with each
+  device's parameters as a column.
+
+:func:`synthesize_traces` groups requests by family and grid (and OU
+``theta``, so a block shares scan boundaries) and shapes at most
+:data:`BLOCK_ROWS` devices at a time.  The public ``*_trace`` builders are
+its one-row case, so a trace built alone and the same trace built inside a
+fleet are byte-identical — every operation is elementwise, and ``cumsum``
+along a row is the same sequential fold as on a 1-D array.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import inspect
+import math
+import numbers
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError, EnergyError
 from repro.utils.rng import as_generator
+
+#: Devices per stacked block.  The trace synthesizers and the fleet
+#: engine's harvest summary never hold more rows than this at once, so
+#: their scratch memory stays flat however large the fleet is.
+BLOCK_ROWS = 16
+
+
+def _grid(duration, dt) -> int:
+    """Sample count of the uniform grid ``0, dt, ..., duration``.
+
+    The one place a builder turns ``(duration, dt)`` into ``n``.  A zero,
+    negative or non-finite step, a negative or non-finite duration, and a
+    duration shorter than one step are :class:`ConfigError` here instead
+    of a division by zero or a numpy shape error further down.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ConfigError(
+            f"duration must be non-negative and finite, got {duration!r}"
+        )
+    n = int(round(duration / dt)) + 1
+    if n < 2:
+        raise ConfigError(
+            f"duration {duration!r} spans less than one dt step ({dt!r})"
+        )
+    return n
+
+
+def _cum_rows(samples: np.ndarray, dt) -> np.ndarray:
+    """Validate a ``(rows, n)`` block of power samples and return each
+    row's trapezoidal cumulative energy (mJ), ``0.0`` first."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
+    lo, hi = samples.min(), samples.max()  # NaN propagates to both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EnergyError("harvested power must be finite (got NaN or inf)")
+    if lo < 0:
+        raise EnergyError("harvested power cannot be negative")
+    cum = np.empty(samples.shape)
+    cum[:, 0] = 0.0
+    increments = cum[:, 1:]
+    np.add(samples[:, 1:], samples[:, :-1], out=increments)
+    increments *= 0.5
+    increments *= dt
+    np.cumsum(increments, axis=1, out=increments)
+    return cum
 
 
 class PowerTrace:
@@ -31,16 +100,27 @@ class PowerTrace:
         samples = np.asarray(samples_mw, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
             raise ConfigError("trace needs a 1-D array of at least 2 samples")
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        if np.any(samples < 0):
-            raise EnergyError("harvested power cannot be negative")
+        self._bind(samples, _cum_rows(samples[None, :], dt)[0], dt, name)
+
+    def _bind(self, samples, cum_energy, dt, name) -> None:
         self.samples_mw = samples
         self.dt = float(dt)
         self.name = name
         # Trapezoidal cumulative energy in mJ for O(1) interval queries.
-        increments = 0.5 * (samples[1:] + samples[:-1]) * dt
-        self._cum_energy = np.concatenate([[0.0], np.cumsum(increments)])
+        self._cum_energy = cum_energy
+
+    @classmethod
+    def _rows(cls, samples: np.ndarray, dt: float, name: str) -> list:
+        """One trace per row of a ``(rows, n)`` block (validated and
+        integrated as a block).  Each trace's arrays are row views, so a
+        block's memory is freed with its last trace."""
+        cum = _cum_rows(samples, dt)
+        out = []
+        for row, cum_row in zip(samples, cum):
+            trace = cls.__new__(cls)
+            trace._bind(row, cum_row, dt, name)
+            out.append(trace)
+        return out
 
     @property
     def duration(self) -> float:
@@ -66,10 +146,16 @@ class PowerTrace:
                 return float(self.samples_mw[-1])
             frac = pos - i
             return float((1 - frac) * self.samples_mw[i] + frac * self.samples_mw[i + 1])
-        pos = np.clip(arr, 0.0, self.duration) / self.dt
-        i = np.minimum(pos.astype(np.int64), len(self.samples_mw) - 2)
-        frac = pos - i
+        i, frac = self._lerp_weights(arr)
         return (1 - frac) * self.samples_mw[i] + frac * self.samples_mw[i + 1]
+
+    def _lerp_weights(self, t: np.ndarray) -> tuple:
+        """``(i, frac)`` with ``power(t) == (1 - frac) * s[i] + frac *
+        s[i + 1]`` for an array of times (the harvest summary reuses the
+        weights of one grid across every trace on the same ``(n, dt)``)."""
+        pos = np.clip(t, 0.0, self.duration) / self.dt
+        i = np.minimum(pos.astype(np.int64), len(self.samples_mw) - 2)
+        return i, pos - i
 
     def energy_between(self, t0, t1):
         """Harvested energy (mJ) in ``[t0, t1]``.
@@ -195,46 +281,361 @@ def trace_from_csv(
 
 def constant_trace(power_mw: float, duration: float, dt: float = 0.1) -> PowerTrace:
     """Steady harvesting at ``power_mw`` (tethered-supply ablation)."""
-    n = int(round(duration / dt)) + 1
+    n = _grid(duration, dt)
     return PowerTrace(np.full(n, float(power_mw)), dt, name="constant")
 
 
-def _ou_process(n: int, dt: float, theta: float, sigma: float, rng) -> np.ndarray:
-    """Zero-mean Ornstein-Uhlenbeck path (cloud/burst dynamics).
+def _ou_scan(noise: np.ndarray, dt: float, theta: float) -> np.ndarray:
+    """Zero-mean Ornstein-Uhlenbeck paths from a ``(rows, n - 1)`` block of
+    already-scaled noise; returns ``(rows, n)`` with ``x[:, 0] == 0``.
 
     The Euler-Maruyama recurrence ``x[i] = phi * x[i-1] + noise[i-1]`` with
-    ``phi = 1 - theta * dt`` is an exact AR(1), so the whole path follows
-    from a scan: ``x[i] = phi**i * sum_{j<i} noise[j] * phi**-(j+1)``.
-    Rescaling by ``phi**-j`` overflows float64 over tens of thousands of
-    samples, so the scan runs in blocks sized to bound the in-block dynamic
-    range at ~1e4 (keeping the result within ~1e-12 of the sequential
-    loop), carrying the block-final value across block boundaries.  Traces
-    of 36k-43k samples synthesize in a handful of vectorized passes instead
-    of a Python-level loop per sample — the former fleet-path bottleneck.
+    ``phi = 1 - theta * dt`` is an exact AR(1), so each path follows from a
+    scan: ``x[i] = phi**i * sum_{j<i} noise[j] * phi**-(j+1)``.  Rescaling
+    by ``phi**-j`` overflows float64 over tens of thousands of samples, so
+    the scan runs in blocks sized to bound the in-block dynamic range at
+    ~1e4 (keeping the result within ~1e-12 of the sequential loop),
+    carrying each row's block-final value across block boundaries.  Every
+    row shares ``phi`` and the block boundaries, so one ``cumsum`` along
+    axis 1 per block scans all rows at once, and each row's bytes equal
+    the same scan run on that row alone.
     """
-    x = np.zeros(n)
-    if n < 2:
-        return x
-    noise = rng.normal(size=n - 1) * sigma * np.sqrt(dt)
+    rows, steps = noise.shape
+    x = np.zeros((rows, steps + 1))
     phi = 1.0 - theta * dt
     if phi == 0.0:
-        x[1:] = noise
+        x[:, 1:] = noise
         return x
     abs_phi = abs(phi)
     if abs_phi == 1.0:
-        block = n - 1
+        block = steps
     else:
         log_range = abs(np.log(abs_phi))
         block = max(16, int(np.log(1e4) / log_range) + 1)
         # Never let phi**-block overflow float64, whatever the params.
-        block = min(block, max(int(np.log(1e250) / log_range), 1), n - 1)
-    carry = 0.0
-    for start in range(0, n - 1, block):
-        stop = min(start + block, n - 1)
+        block = min(block, max(int(np.log(1e250) / log_range), 1), steps)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
         powers = phi ** np.arange(1, stop - start + 1)
-        x[start + 1:stop + 1] = powers * (carry + np.cumsum(noise[start:stop] / powers))
-        carry = x[stop]
+        # In place: x = powers * (carry + cumsum(noise / powers)).
+        scan = x[:, start + 1:stop + 1]
+        np.divide(noise[:, start:stop], powers, out=scan)
+        np.cumsum(scan, axis=1, out=scan)
+        scan += x[:, start:start + 1]
+        scan *= powers
     return x
+
+
+def _ou_process(n: int, dt: float, theta: float, sigma: float, rng) -> np.ndarray:
+    """One zero-mean Ornstein-Uhlenbeck path of ``n`` samples: the one-row
+    case of :func:`_ou_scan`, drawing its noise from ``rng``."""
+    return _ou_scan(_ou_noise([rng.normal(size=n - 1)], [sigma], dt), dt, theta)[0]
+
+
+def _ou_noise(draws, sigmas, dt) -> np.ndarray:
+    """Stack per-device standard-normal draws into scaled OU noise rows."""
+    noise = np.stack(draws)
+    noise *= np.asarray(sigmas, dtype=np.float64)[:, None]
+    noise *= np.sqrt(dt)
+    return noise
+
+
+def _col(rows, key) -> np.ndarray:
+    """Parameter ``key`` of every row, as a ``(rows, 1)`` column."""
+    return np.array([p[key] for p in rows], dtype=np.float64)[:, None]
+
+
+def _schedule(gen, duration, dt, n, rate_hz, length_s, next_amp):
+    """Exponential episodes (gusts, bursts) on the grid, in draw order:
+    ``[(i0, i1, amplitude), ...]``; ``next_amp()`` draws one amplitude."""
+    episodes = []
+    t = 0.0
+    while t < duration:
+        t += gen.exponential(1.0 / rate_hz) if rate_hz > 0 else duration
+        if t >= duration:
+            break
+        length = gen.exponential(length_s)
+        i0 = int(t / dt)
+        i1 = min(n, int((t + length) / dt) + 1)
+        episodes.append((i0, i1, next_amp()))
+        t += length
+    return episodes
+
+
+def _episode_cells(n: int, episodes) -> tuple:
+    """Flat indices into a C-ordered ``(rows, n)`` block of every cell
+    covered by row ``k``'s ``episodes[k]`` (``(i0, i1, ...)`` slices), in
+    row then episode order, and each episode's length."""
+    starts, lengths = [], []
+    for k, row in enumerate(episodes):
+        for episode in row:
+            starts.append(k * n + episode[0])
+            lengths.append(episode[1] - episode[0])
+    lengths = np.array(lengths, dtype=np.int64)
+    first = np.cumsum(lengths) - lengths
+    cells = np.repeat(np.array(starts, dtype=np.int64) - first, lengths)
+    cells += np.arange(cells.size)
+    return cells, lengths
+
+
+def _add_episodes(block: np.ndarray, episodes, ramp=None) -> None:
+    """``block[k, i0:i1] += amp`` (times ``ramp(i1 - i0)`` if given) for
+    every ``(i0, i1, amp)`` of every row, as one unbuffered ``np.add.at``:
+    a cell under overlapping episodes takes their additions one at a
+    time in episode order, exactly like the sequential slice updates."""
+    cells, lengths = _episode_cells(block.shape[1], episodes)
+    if not cells.size:
+        return
+    amps = np.array([e[2] for row in episodes for e in row], dtype=np.float64)
+    values = np.repeat(amps, lengths)
+    if ramp is not None:
+        values *= np.concatenate([ramp(k) for k in lengths.tolist()])
+    np.add.at(block.reshape(-1), cells, values)
+
+
+def _require(ok: bool, family: str, key: str, value, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{family} trace: {key} must be {rule}, got {value!r}")
+
+
+# ---------------------------------------------------------------------- #
+# Families: per-device draw, stacked shape
+# ---------------------------------------------------------------------- #
+def _solar_check(p) -> None:
+    _require(p["noise_mw"] >= 0, "solar", "noise_mw", p["noise_mw"], ">= 0")
+
+
+def _solar_draw(p, n, gen):
+    return gen.normal(size=n - 1), gen.normal(0.0, p["noise_mw"], size=n)
+
+
+def _solar_shape(rows, draws, n, dt, theta) -> np.ndarray:
+    t = np.arange(n) * dt
+    day_length = np.array([
+        p["duration"] if p["day_length"] is None else p["day_length"]
+        for p in rows
+    ])[:, None]
+    phase = _col(rows, "phase")
+    if (day_length == day_length[0]).all() and (phase == phase[0]).all():
+        day_length, phase = day_length[:1], phase[:1]  # one shared envelope
+    envelope = np.sin(np.pi * (t / day_length + phase))
+    envelope = np.clip(envelope, 0.0, None) ** 1.5
+    sigmas = [
+        float(np.sqrt(2.0 * p["cloud_theta"])) if p["cloud_sigma"] is None
+        else p["cloud_sigma"]  # None: unit stationary std
+        for p in rows
+    ]
+    clouds = _ou_scan(_ou_noise([d[0] for d in draws], sigmas, dt), dt, theta)
+    # occlusion = 1 / (1 + exp(-depth * (clouds - bias))), in place.
+    occlusion = clouds
+    occlusion -= _col(rows, "cloud_bias")
+    occlusion *= -_col(rows, "cloud_depth")
+    np.exp(occlusion, out=occlusion)
+    occlusion += 1.0
+    np.divide(1.0, occlusion, out=occlusion)
+    power = _col(rows, "peak_mw") * envelope
+    power *= occlusion
+    for row, (_, sensor_noise) in zip(power, draws):
+        row += sensor_noise
+    return np.clip(power, 0.0, None, out=power)
+
+
+def _kinetic_check(p) -> None:
+    _require(math.isfinite(p["burst_rate_hz"]), "kinetic", "burst_rate_hz",
+             p["burst_rate_hz"], "finite")
+    _require(math.isfinite(p["burst_length_s"]) and p["burst_length_s"] >= 0,
+             "kinetic", "burst_length_s", p["burst_length_s"], "finite and >= 0")
+
+
+def _kinetic_draw(p, n, gen):
+    power_mw = p["burst_power_mw"]
+    return _schedule(
+        gen, p["duration"], p["dt"], n, p["burst_rate_hz"], p["burst_length_s"],
+        lambda: power_mw * (0.5 + 0.5 * gen.random()),
+    )
+
+
+def _kinetic_shape(rows, draws, n, dt, theta) -> np.ndarray:
+    power = np.empty((len(rows), n))
+    power[:] = _col(rows, "base_mw")
+    _add_episodes(power, draws)
+    return power
+
+
+def _wind_check(p) -> None:
+    _require(p["mean_speed"] > 0, "wind", "mean_speed", p["mean_speed"], "positive")
+    _require(math.isfinite(p["gust_rate_hz"]), "wind", "gust_rate_hz",
+             p["gust_rate_hz"], "finite")
+    _require(math.isfinite(p["gust_length_s"]) and p["gust_length_s"] >= 0,
+             "wind", "gust_length_s", p["gust_length_s"], "finite and >= 0")
+
+
+def _wind_draw(p, n, gen):
+    z = gen.normal(size=n - 1)
+    scale = p["gust_strength"] * p["mean_speed"]
+    gusts = _schedule(
+        gen, p["duration"], p["dt"], n, p["gust_rate_hz"], p["gust_length_s"],
+        lambda: scale * (0.5 + 0.5 * gen.random()),
+    )
+    return z, gusts
+
+
+@lru_cache(maxsize=512)
+def _gust_profile(k: int) -> np.ndarray:
+    """Half-sine ramp of a ``k``-sample gust (shared, so read-only)."""
+    ramp = np.sin(np.linspace(0.0, np.pi, max(k, 1)))
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _wind_shape(rows, draws, n, dt, theta) -> np.ndarray:
+    sigmas = [p["turbulence"] * np.sqrt(0.1) for p in rows]
+    mean_speed = _col(rows, "mean_speed")
+    # speed = mean_speed * (1 + turbulence), in place.
+    speed = _ou_scan(_ou_noise([d[0] for d in draws], sigmas, dt), dt, theta)
+    speed += 1.0
+    speed *= mean_speed
+    # Gusts ramp in and die off (half-sine profile) rather than step.
+    _add_episodes(speed, [gusts for _, gusts in draws], ramp=_gust_profile)
+    np.clip(speed, 0.0, None, out=speed)
+    # power = 0.5 * peak_mw * (speed / mean_speed) ** 3, in place.
+    power = speed
+    power /= mean_speed
+    np.power(power, 3, out=power)
+    power *= 0.5 * _col(rows, "peak_mw")
+    return np.clip(power, 0.0, None, out=power)
+
+
+def _piezo_check(p) -> None:
+    duty, period = p["duty_cycle"], p["cycle_period_s"]
+    _require(0.0 < duty < 1.0, "piezo", "duty_cycle", duty, "in (0, 1)")
+    # A zero period would draw zero-length on/off intervals forever.
+    _require(math.isfinite(period) and period > 0, "piezo", "cycle_period_s",
+             period, "positive and finite")
+
+
+def _piezo_draw(p, n, gen):
+    duty, period, duration, dt = (
+        p["duty_cycle"], p["cycle_period_s"], p["duration"], p["dt"]
+    )
+    on = []
+    mean_on = duty * period
+    mean_off = (1.0 - duty) * period
+    t, machine_on = 0.0, gen.random() < duty
+    while t < duration:
+        length = gen.exponential(mean_on if machine_on else mean_off)
+        if machine_on:
+            on.append((int(t / dt), min(n, int((t + length) / dt) + 1)))
+        t += length
+        machine_on = not machine_on
+    return on, gen.normal(size=n - 1)
+
+
+def _piezo_shape(rows, draws, n, dt, theta) -> np.ndarray:
+    off = np.ones((len(rows), n), dtype=bool)
+    off.reshape(-1)[_episode_cells(n, [on for on, _ in draws])[0]] = False
+    sigmas = [p["amplitude_jitter"] * np.sqrt(0.04) for p in rows]
+    # power = peak_mw * exp(jitter) while on, base_mw while off, in place.
+    power = _ou_scan(_ou_noise([d[1] for d in draws], sigmas, dt), dt, theta)
+    np.exp(power, out=power)
+    power *= _col(rows, "peak_mw")
+    np.copyto(power, _col(rows, "base_mw"), where=off)
+    return np.clip(power, 0.0, None, out=power)
+
+
+def _rf_draw(p, n, gen):
+    return gen.normal(size=n - 1)
+
+
+def _rf_shape(rows, draws, n, dt, theta) -> np.ndarray:
+    sigmas = [p["fading_sigma"] * np.sqrt(0.04) for p in rows]
+    # power = mean_mw * exp(fading), in place.
+    power = _ou_scan(_ou_noise(draws, sigmas, dt), dt, theta)
+    np.exp(power, out=power)
+    power *= _col(rows, "mean_mw")
+    return np.clip(power, 0.0, None, out=power)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One seeded family: its public builder (whose signature holds the
+    defaults), validation, OU ``theta`` (``None``: no OU), per-device
+    draw and stacked shape."""
+
+    builder: Callable
+    theta: Callable
+    draw: Callable
+    shape: Callable
+    check: Callable = lambda p: None
+
+
+@lru_cache(maxsize=None)
+def _defaults(builder) -> dict:
+    return {
+        name: param.default
+        for name, param in inspect.signature(builder).parameters.items()
+    }
+
+
+def _resolve(family: str, params: dict) -> tuple:
+    """``(full validated params, grid size, generator)`` of one request."""
+    fam = _FAMILIES.get(family)
+    if fam is None:
+        raise ConfigError(f"unknown trace family {family!r}")
+    defaults = _defaults(fam.builder)
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(
+            f"{family} trace: {fam.builder.__name__}() got an unexpected "
+            f"keyword argument {unknown[0]!r}"
+        )
+    p = {**defaults, **params}
+    for key, value in p.items():
+        if key == "seed" or (value is None and defaults[key] is None):
+            continue
+        if not isinstance(value, numbers.Real):
+            raise ConfigError(f"{family} trace: {key} must be a number, got {value!r}")
+        p[key] = float(value)
+    try:
+        gen = as_generator(p["seed"])
+    except TypeError as exc:
+        raise ConfigError(f"{family} trace: {exc}") from None
+    n = _grid(p["duration"], p["dt"])
+    fam.check(p)
+    return p, n, gen
+
+
+def synthesize_traces(requests) -> list:
+    """Build many seeded traces at once; ``requests`` are ``(family,
+    params)`` pairs, ``params`` the keyword arguments of that family's
+    ``*_trace`` builder.
+
+    Returns one :class:`PowerTrace` per request, in order, each
+    byte-identical (samples and cumulative energy) to calling the builder
+    alone.  Every request is validated first, in order; then each device
+    draws from its own generator in the family's order, and devices on the
+    same family, grid and OU ``theta`` are shaped together, at most
+    :data:`BLOCK_ROWS` at a time.  Requests sharing one live ``Generator``
+    as their seed must be in the same group to keep their draws in request
+    order.
+    """
+    resolved = [_resolve(family, params) for family, params in requests]
+    groups: dict = {}
+    for i, ((family, _), (p, n, _)) in enumerate(zip(requests, resolved)):
+        key = (family, n, p["dt"], _FAMILIES[family].theta(p))
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(resolved)
+    for (family, n, dt, theta), members in groups.items():
+        fam = _FAMILIES[family]
+        for start in range(0, len(members), BLOCK_ROWS):
+            block = [resolved[i] for i in members[start:start + BLOCK_ROWS]]
+            rows = [p for p, _, _ in block]
+            draws = [fam.draw(p, n, gen) for p, _, gen in block]
+            samples = fam.shape(rows, draws, n, dt, theta)
+            traces = PowerTrace._rows(samples, dt, family)
+            for i, trace in zip(members[start:start + BLOCK_ROWS], traces):
+                out[i] = trace
+    return out
 
 
 def solar_trace(
@@ -263,21 +664,9 @@ def solar_trace(
     stretches, while graded exits keep producing results through the dips.
 
     Power is clipped at zero: outside the daylight arc nothing harvests.
+    ``cloud_sigma=None`` gives the clouds unit stationary std.
     """
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    t = np.arange(n) * dt
-    if day_length is None:
-        day_length = duration
-    envelope = np.sin(np.pi * (t / day_length + phase))
-    envelope = np.clip(envelope, 0.0, None) ** 1.5
-    if cloud_sigma is None:
-        cloud_sigma = float(np.sqrt(2.0 * cloud_theta))  # unit stationary std
-    clouds = _ou_process(n, dt, cloud_theta, cloud_sigma, gen)
-    occlusion = 1.0 / (1.0 + np.exp(-cloud_depth * (clouds - cloud_bias)))
-    power = peak_mw * envelope * occlusion
-    power = power + gen.normal(0.0, noise_mw, size=n)
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="solar")
+    return synthesize_traces([("solar", locals())])[0]
 
 
 def kinetic_trace(
@@ -290,21 +679,7 @@ def kinetic_trace(
     seed=0,
 ) -> PowerTrace:
     """Bursty kinetic harvesting (e.g. footsteps): idle base + active bursts."""
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    power = np.full(n, base_mw)
-    t = 0.0
-    while t < duration:
-        gap = gen.exponential(1.0 / burst_rate_hz) if burst_rate_hz > 0 else duration
-        t += gap
-        if t >= duration:
-            break
-        length = gen.exponential(burst_length_s)
-        i0 = int(t / dt)
-        i1 = min(n, int((t + length) / dt) + 1)
-        power[i0:i1] += burst_power_mw * (0.5 + 0.5 * gen.random())
-        t += length
-    return PowerTrace(power, dt, name="kinetic")
+    return synthesize_traces([("kinetic", locals())])[0]
 
 
 def wind_trace(
@@ -328,26 +703,7 @@ def wind_trace(
     power spikes an order of magnitude above the median, a regime between
     solar (slow, bimodal) and kinetic (sparse bursts).
     """
-    if mean_speed <= 0:
-        raise ConfigError(f"mean_speed must be positive, got {mean_speed}")
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    speed = mean_speed * (1.0 + _ou_process(n, dt, theta=0.05, sigma=turbulence * np.sqrt(0.1), rng=gen))
-    t = 0.0
-    while t < duration and gust_rate_hz > 0:
-        t += gen.exponential(1.0 / gust_rate_hz)
-        if t >= duration:
-            break
-        length = gen.exponential(gust_length_s)
-        i0 = int(t / dt)
-        i1 = min(n, int((t + length) / dt) + 1)
-        # Gusts ramp in and die off (half-sine profile) rather than step.
-        profile = np.sin(np.linspace(0.0, np.pi, max(i1 - i0, 1)))
-        speed[i0:i1] += gust_strength * mean_speed * (0.5 + 0.5 * gen.random()) * profile
-        t += length
-    speed = np.clip(speed, 0.0, None)
-    power = 0.5 * peak_mw * (speed / mean_speed) ** 3
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="wind")
+    return synthesize_traces([("wind", locals())])[0]
 
 
 def piezo_trace(
@@ -370,25 +726,7 @@ def piezo_trace(
     jitter (mount resonance drifting with load).  Off intervals fall to a
     tiny ambient ``base_mw``.
     """
-    gen = as_generator(seed)
-    if not 0.0 < duty_cycle < 1.0:
-        raise ConfigError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
-    n = int(round(duration / dt)) + 1
-    on = np.zeros(n, dtype=bool)
-    mean_on = duty_cycle * cycle_period_s
-    mean_off = (1.0 - duty_cycle) * cycle_period_s
-    t, machine_on = 0.0, gen.random() < duty_cycle
-    while t < duration:
-        length = gen.exponential(mean_on if machine_on else mean_off)
-        if machine_on:
-            i0 = int(t / dt)
-            i1 = min(n, int((t + length) / dt) + 1)
-            on[i0:i1] = True
-        t += length
-        machine_on = not machine_on
-    jitter = _ou_process(n, dt, theta=0.02, sigma=amplitude_jitter * np.sqrt(0.04), rng=gen)
-    power = np.where(on, peak_mw * np.exp(jitter), base_mw)
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="piezo")
+    return synthesize_traces([("piezo", locals())])[0]
 
 
 def rf_trace(
@@ -399,8 +737,20 @@ def rf_trace(
     seed=0,
 ) -> PowerTrace:
     """Weak RF harvesting with log-normal slow fading."""
-    gen = as_generator(seed)
-    n = int(round(duration / dt)) + 1
-    fading = _ou_process(n, dt, theta=0.02, sigma=fading_sigma * np.sqrt(0.04), rng=gen)
-    power = mean_mw * np.exp(fading)
-    return PowerTrace(np.clip(power, 0.0, None), dt, name="rf")
+    return synthesize_traces([("rf", locals())])[0]
+
+
+_FAMILIES = {
+    "solar": _Family(solar_trace, lambda p: p["cloud_theta"], _solar_draw,
+                     _solar_shape, _solar_check),
+    "kinetic": _Family(kinetic_trace, lambda p: None, _kinetic_draw,
+                       _kinetic_shape, _kinetic_check),
+    "wind": _Family(wind_trace, lambda p: 0.05, _wind_draw, _wind_shape,
+                    _wind_check),
+    "piezo": _Family(piezo_trace, lambda p: 0.02, _piezo_draw, _piezo_shape,
+                     _piezo_check),
+    "rf": _Family(rf_trace, lambda p: 0.02, _rf_draw, _rf_shape),
+}
+
+#: Seeded families :func:`synthesize_traces` builds.
+SEEDED_FAMILIES = tuple(_FAMILIES)

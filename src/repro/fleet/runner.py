@@ -39,13 +39,10 @@ import numpy as np
 from repro.energy.events import burst_events, poisson_events, uniform_random_events
 from repro.energy.storage import EnergyStorage
 from repro.energy.traces import (
+    SEEDED_FAMILIES,
     constant_trace,
-    kinetic_trace,
-    piezo_trace,
-    rf_trace,
-    solar_trace,
+    synthesize_traces,
     trace_from_csv,
-    wind_trace,
 )
 from repro.errors import ConfigError, InjectedFault
 from repro.experiment import reference_profile, sonic_profile
@@ -66,7 +63,7 @@ from repro.obs.recorder import get_recorder
 from repro.obs.tracing import span
 from repro.runtime.controller import make_controller
 from repro.sim.profiles import InferenceProfile
-from repro.sim.results import percentile_dict
+from repro.sim.results import harvest_percentiles
 from repro.sim.simulator import Simulator, SimulatorConfig
 
 #: Engines a :class:`FleetRunner` can route devices through.
@@ -76,14 +73,6 @@ ENGINES = ("auto", "batched", "device")
 #: work is a few milliseconds, so forking and result transport swamp the
 #: compute (a 32-device pool once measured ~0.7x serial throughput).
 MIN_PARALLEL_DEVICES = 16
-
-_SEEDED_TRACE_BUILDERS = {
-    "solar": solar_trace,
-    "kinetic": kinetic_trace,
-    "rf": rf_trace,
-    "wind": wind_trace,
-    "piezo": piezo_trace,
-}
 
 #: Per-process cache of resolved named profiles (weights and profile maths
 #: run once per worker, not once per device).
@@ -121,31 +110,69 @@ def _trace_cache_key(family: str, params: dict):
 
 
 def build_trace(trace_spec: dict, fallback_seed: int):
-    """Materialize a trace from its spec dict (memoized per process)."""
-    params = dict(trace_spec)
-    family = params.pop("family")
-    if family == "csv":
-        # File contents can change between builds; never cached.
-        return _call_declarative("csv trace", trace_from_csv, **params)
-    if family == "constant":
-        label, builder = "constant trace", constant_trace
-    else:
-        builder = _SEEDED_TRACE_BUILDERS.get(family)
-        if builder is None:
-            raise ConfigError(f"unknown trace family {family!r}")
-        params.setdefault("seed", fallback_seed)
-        label = f"{family} trace"
-    key = _trace_cache_key(family, params)
-    if key is not None:
+    """Materialize a trace from its spec dict (memoized per process): the
+    one-device case of :func:`build_traces`."""
+    return build_traces([(trace_spec, fallback_seed)])[0]
+
+
+def build_traces(items) -> list:
+    """Materialize traces for ``(trace_spec, fallback_seed)`` pairs, in order.
+
+    Cache hits come from ``_TRACE_CACHE``.  The seeded misses are built
+    together by :func:`~repro.energy.traces.synthesize_traces` (stacked per
+    family and grid, byte-identical to building each alone) and inserted
+    afterwards in request order under the FIFO cap, so a fleet larger than
+    the cap builds each trace once and leaves the cache holding its last
+    ``_TRACE_CACHE_MAX`` traces.  Identical specs in one call share one
+    trace.  csv traces (file-backed) and specs with a live ``Generator``
+    are built one at a time, in order, and never cached.
+    """
+    out = [None] * len(items)
+    misses: dict = {}  # cache key -> (family, params, positions)
+    for pos, (trace_spec, fallback_seed) in enumerate(items):
+        params = dict(trace_spec)
+        family = params.pop("family")
+        if family == "csv":
+            out[pos] = _call_declarative("csv trace", trace_from_csv, **params)
+            continue
+        if family != "constant":
+            if family not in SEEDED_FAMILIES:
+                raise ConfigError(f"unknown trace family {family!r}")
+            params.setdefault("seed", fallback_seed)
+        key = _trace_cache_key(family, params)
+        if key is None:
+            out[pos] = _build_uncached([(family, params)])[0]
+            continue
         cached = _TRACE_CACHE.get(key)
         if cached is not None:
-            return cached
-    trace = _call_declarative(label, builder, **params)
-    if key is not None:
+            out[pos] = cached
+        elif key in misses:
+            misses[key][2].append(pos)
+        else:
+            misses[key] = (family, params, [pos])
+    built = _build_uncached([(fam, params) for fam, params, _ in misses.values()])
+    for (key, (_, _, positions)), trace in zip(misses.items(), built):
         while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
             _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
         _TRACE_CACHE[key] = trace
-    return trace
+        for pos in positions:
+            out[pos] = trace
+    return out
+
+
+def _build_uncached(requests) -> list:
+    """Build ``(family, params)`` requests: constants one by one, every
+    seeded family in one :func:`synthesize_traces` call."""
+    out = [None] * len(requests)
+    seeded = []
+    for pos, (family, params) in enumerate(requests):
+        if family == "constant":
+            out[pos] = _call_declarative("constant trace", constant_trace, **params)
+        else:
+            seeded.append(pos)
+    for pos, trace in zip(seeded, synthesize_traces([requests[p] for p in seeded])):
+        out[pos] = trace
+    return out
 
 
 def build_events(events_spec: dict, duration: float, seed: int) -> np.ndarray:
@@ -232,6 +259,13 @@ def build_controller(controller_spec: dict, profile, storage, seed: int):
     )
 
 
+def device_seeds(index: int, fleet_seed: int) -> tuple:
+    """A device's ``(trace, events, simulator, controller)`` seeds, from
+    ``SeedSequence(fleet_seed, spawn_key=(index,))``."""
+    child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
+    return tuple(int(s) for s in child.generate_state(4, np.uint32))
+
+
 def run_device(task) -> DeviceResult:
     """Simulate one device: ``task`` is ``(index, DeviceSpec, fleet_seed)``.
 
@@ -240,10 +274,7 @@ def run_device(task) -> DeviceResult:
     """
     index, spec, fleet_seed = task
     t0 = time.perf_counter()
-    child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
-    trace_seed, event_seed, sim_seed, ctrl_seed = (
-        int(s) for s in child.generate_state(4, np.uint32)
-    )
+    trace_seed, event_seed, sim_seed, ctrl_seed = device_seeds(index, fleet_seed)
     trace = build_trace(spec.trace, trace_seed)
     events = build_events(spec.events, trace.duration, event_seed)
     profile = resolve_profile(spec.profile)
@@ -266,11 +297,7 @@ def run_device(task) -> DeviceResult:
     result = None
     for _ in range(spec.episodes):
         result = sim.run(events)
-    # Bulk trace query (vectorized PowerTrace.power): how much power this
-    # device's environment offered, as percentiles for the fleet report.
-    harvest = percentile_dict(
-        trace.power(np.linspace(0.0, trace.duration, 512)), qs=(10, 50, 90)
-    )
+    harvest = harvest_percentiles([trace])[0]
     return DeviceResult.from_simulation(
         index,
         spec.name,

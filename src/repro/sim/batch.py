@@ -89,7 +89,7 @@ from repro.runtime.batched import batch_continue_rules, batch_controllers, batch
 from repro.runtime.controller import CONTROLLER_KINDS
 from repro.runtime.incremental import CONTINUE_RULE_KINDS
 from repro.runtime.state import RuntimeStateBatch
-from repro.sim.results import RecordColumns, SimulationResult, percentile_dict
+from repro.sim.results import RecordColumns, SimulationResult, harvest_percentiles
 from repro.utils.rng import DrawBatch, as_generator
 
 #: miss_reason codes used in the packed record buffers (shared with
@@ -174,7 +174,7 @@ class _Device:
         "inc_energy", "inc_time",
     )
 
-    def __init__(self, index: int, spec: DeviceSpec, fleet_seed: int):
+    def __init__(self, index: int, spec: DeviceSpec, seeds: tuple, trace):
         # Lazy import: the fleet runner imports this module at top level,
         # so importing its builders here would be circular at import time.
         from repro.fleet.runner import (
@@ -182,17 +182,13 @@ class _Device:
             build_events,
             build_mcu,
             build_storage,
-            build_trace,
             resolve_profile,
         )
 
         self.index = int(index)
         self.spec = spec
-        child = np.random.SeedSequence(fleet_seed, spawn_key=(int(index),))
-        trace_seed, event_seed, sim_seed, ctrl_seed = (
-            int(s) for s in child.generate_state(4, np.uint32)
-        )
-        self.trace = build_trace(spec.trace, trace_seed)
+        _, event_seed, sim_seed, ctrl_seed = seeds
+        self.trace = trace
         self.events = np.asarray(
             build_events(spec.events, self.trace.duration, event_seed),
             dtype=np.float64,
@@ -304,7 +300,19 @@ class BatchedFleetEngine:
                 raise ConfigError(
                     f"device {spec.name!r} is not batch-eligible: {reason}"
                 )
-        self.devices = [_Device(i, spec, seed) for i, spec, seed in tasks]
+        from repro.fleet.runner import build_traces, device_seeds
+
+        # Traces first, for the whole engine at once: one stacked build
+        # per family and grid (see repro.energy.traces), then each device
+        # materializes the rest of its objects around its own trace.
+        seeds = [device_seeds(i, seed) for i, _, seed in tasks]
+        traces = build_traces(
+            [(spec.trace, s[0]) for (_, spec, _), s in zip(tasks, seeds)]
+        )
+        self.devices = [
+            _Device(i, spec, s, trace)
+            for (i, spec, _), s, trace in zip(tasks, seeds, traces)
+        ]
         for dev in self.devices:
             if not dev.intermittent and not batchable(dev.controller):
                 raise ConfigError(
@@ -560,21 +568,15 @@ class BatchedFleetEngine:
             prof.tally("batch.lockstep.energy_misses", rs.n_emiss)
             prof.memory_probe("batch.run")
         out = []
-        grid_cache: dict = {}
+        harvest = harvest_percentiles([d.trace for d in self.devices])
         for i, d in enumerate(self.devices):
-            sim_result = rs.results[i]
-            grid = grid_cache.get(d.trace.duration)
-            if grid is None:
-                grid = np.linspace(0.0, d.trace.duration, 512)
-                grid_cache[d.trace.duration] = grid
-            harvest = percentile_dict(d.trace.power(grid), qs=(10, 50, 90))
             out.append(
                 DeviceResult.from_simulation(
                     d.index,
                     d.spec.name,
-                    sim_result,
+                    rs.results[i],
                     d.profile,
-                    harvest_percentiles=harvest,
+                    harvest_percentiles=harvest[i],
                     episodes=d.spec.episodes,
                     wall_s=wall / self._m,
                 )

@@ -23,9 +23,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.energy.traces import BLOCK_ROWS
+
 #: Reasons an event can be missed.
 MISS_BUSY = "busy"          # device still processing a previous event
 MISS_ENERGY = "energy"      # no exit affordable / inference incomplete
+
+
+def percentile_rows(values: np.ndarray, qs) -> np.ndarray:
+    """Percentiles along the last axis of ``values`` (``(..., k)``,
+    ``k >= 1``): an array of shape ``(..., len(qs))``.
+
+    Replicates ``np.percentile``'s default linear-interpolation method
+    bit-for-bit (same virtual-index arithmetic, same 0.5-switched lerp)
+    on a sorted copy.  :func:`percentile_dict` is its one-row case and
+    :func:`harvest_percentiles` runs it over blocks of rows.
+    """
+    a = np.sort(values, axis=-1)
+    virtual = np.true_divide(np.asarray(qs, dtype=np.float64), 100) * (a.shape[-1] - 1)
+    lo = np.floor(virtual).astype(np.int64)
+    g = virtual - lo
+    lower = a.take(lo, axis=-1)
+    upper = a.take(np.ceil(virtual).astype(np.int64), axis=-1)
+    diff = upper - lower
+    return np.where(g >= 0.5, upper - diff * (1 - g), lower + g * diff)
 
 
 def percentile_dict(values, qs) -> dict:
@@ -34,27 +55,54 @@ def percentile_dict(values, qs) -> dict:
     Shared by the per-run summarization hooks below and the fleet-level
     aggregators in :mod:`repro.fleet.results`.
 
-    Implementation note: this replicates ``np.percentile``'s default
-    linear-interpolation method bit-for-bit (same virtual-index arithmetic,
-    same 0.5-switched lerp) on a sorted copy.  The batched fleet engine
-    summarizes every device through here, and ``np.percentile``'s dispatch
-    machinery (~50 us/call) was a measurable slice of its per-device
-    budget; the direct form is ~5x faster and exact, so goldens recorded
-    against ``np.percentile`` output still match.
+    Implementation note: the direct form in :func:`percentile_rows` is
+    ~5x faster than ``np.percentile`` (whose dispatch machinery cost
+    ~50 us/call) and exact, so goldens recorded against ``np.percentile``
+    output still match.
     """
     if not len(values):
         return {f"p{q:g}": 0.0 for q in qs}
-    a = np.sort(np.asarray(values, dtype=np.float64))
-    virtual = np.true_divide(np.asarray(qs, dtype=np.float64), 100) * (a.size - 1)
-    lo = np.floor(virtual).astype(np.int64)
-    g = virtual - lo
-    lower = a[lo]
-    upper = a[np.ceil(virtual).astype(np.int64)]
-    diff = upper - lower
-    points = lower + g * diff
-    fix = g >= 0.5
-    points[fix] = upper[fix] - diff[fix] * (1 - g[fix])
-    return {f"p{q:g}": float(v) for q, v in zip(qs, points)}
+    points = percentile_rows(np.asarray(values, dtype=np.float64), qs)
+    return dict(zip((f"p{q:g}" for q in qs), points.tolist()))
+
+
+#: The harvest summary's percentiles and grid size (fleet reports).
+HARVEST_QS = (10, 50, 90)
+HARVEST_POINTS = 512
+
+
+def harvest_percentiles(traces) -> list:
+    """How much power each trace's environment offered: percentiles of
+    ``trace.power(linspace(0, duration, 512))``, one dict per trace.
+
+    Byte-identical to :func:`percentile_dict` over that bulk query, but
+    built for :data:`~repro.energy.traces.BLOCK_ROWS` traces at a time:
+    only the two samples bracketing each grid point are gathered (never a
+    stacked copy of whole traces), and traces on the same ``(n, dt)``
+    share one grid's interpolation weights.
+    """
+    points = HARVEST_POINTS
+    keys = [f"p{q:g}" for q in HARVEST_QS]
+    weights: dict = {}
+    out = []
+    for start in range(0, len(traces), BLOCK_ROWS):
+        block = traces[start:start + BLOCK_ROWS]
+        ends = np.empty((len(block), 2 * points))
+        frac = np.empty((len(block), points))
+        for k, trace in enumerate(block):
+            key = (len(trace.samples_mw), trace.dt)
+            w = weights.get(key)
+            if w is None:
+                i, f = trace._lerp_weights(np.linspace(0.0, trace.duration, points))
+                w = weights[key] = (np.concatenate([i, i + 1]), f)
+            trace.samples_mw.take(w[0], out=ends[k])
+            frac[k] = w[1]
+        values = (1 - frac) * ends[:, :points] + frac * ends[:, points:]
+        out.extend(
+            dict(zip(keys, row))
+            for row in percentile_rows(values, HARVEST_QS).tolist()
+        )
+    return out
 
 
 def summary_delta(base: dict, other: dict, keys=None) -> dict:
