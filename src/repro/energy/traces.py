@@ -45,9 +45,9 @@ import numpy as np
 from repro.errors import ConfigError, EnergyError
 from repro.utils.rng import as_generator
 
-#: Devices per stacked block.  The trace synthesizers and the fleet
-#: engine's harvest summary never hold more rows than this at once, so
-#: their scratch memory stays flat however large the fleet is.
+#: Devices per stacked block.  The trace synthesizers and
+#: :func:`grid_power` never hold more rows than this at once, so their
+#: scratch memory stays flat however large the fleet is.
 BLOCK_ROWS = 16
 
 
@@ -112,13 +112,14 @@ class PowerTrace:
     @classmethod
     def _rows(cls, samples: np.ndarray, dt: float, name: str) -> list:
         """One trace per row of a ``(rows, n)`` block (validated and
-        integrated as a block).  Each trace's arrays are row views, so a
-        block's memory is freed with its last trace."""
+        integrated as a block).  Each trace owns copies of its rows: a
+        row view would keep the whole block alive for as long as any one
+        of its traces lives (in the fleet runner's trace cache, say)."""
         cum = _cum_rows(samples, dt)
         out = []
         for row, cum_row in zip(samples, cum):
             trace = cls.__new__(cls)
-            trace._bind(row, cum_row, dt, name)
+            trace._bind(row.copy(), cum_row.copy(), dt, name)
             out.append(trace)
         return out
 
@@ -151,7 +152,7 @@ class PowerTrace:
 
     def _lerp_weights(self, t: np.ndarray) -> tuple:
         """``(i, frac)`` with ``power(t) == (1 - frac) * s[i] + frac *
-        s[i + 1]`` for an array of times (the harvest summary reuses the
+        s[i + 1]`` for an array of times (:func:`grid_power` reuses the
         weights of one grid across every trace on the same ``(n, dt)``)."""
         pos = np.clip(t, 0.0, self.duration) / self.dt
         i = np.minimum(pos.astype(np.int64), len(self.samples_mw) - 2)
@@ -244,6 +245,32 @@ class PowerTrace:
         if factor < 0:
             raise EnergyError("scale factor must be non-negative")
         return PowerTrace(self.samples_mw * factor, self.dt, name=f"{self.name}*{factor:g}")
+
+
+def grid_power(traces, points: int):
+    """Each trace's power on its own ``linspace(0, duration, points)``
+    grid, yielded as ``(rows, points)`` blocks of at most
+    :data:`BLOCK_ROWS` traces, in order.
+
+    Every row is byte-identical to ``trace.power(grid)``.  Only the two
+    samples around each grid point are gathered (never a stacked copy of
+    whole traces), and traces on the same ``(n, dt)`` share one grid's
+    interpolation weights.
+    """
+    weights: dict = {}
+    for start in range(0, len(traces), BLOCK_ROWS):
+        block = traces[start:start + BLOCK_ROWS]
+        ends = np.empty((len(block), 2 * points))
+        frac = np.empty((len(block), points))
+        for k, trace in enumerate(block):
+            key = (len(trace.samples_mw), trace.dt)
+            w = weights.get(key)
+            if w is None:
+                i, f = trace._lerp_weights(np.linspace(0.0, trace.duration, points))
+                w = weights[key] = (np.concatenate([i, i + 1]), f)
+            trace.samples_mw.take(w[0], out=ends[k])
+            frac[k] = w[1]
+        yield (1 - frac) * ends[:, :points] + frac * ends[:, points:]
 
 
 def trace_from_samples(samples_mw, dt: float, name: str = "custom") -> PowerTrace:
@@ -441,8 +468,9 @@ def _solar_shape(rows, draws, n, dt, theta) -> np.ndarray:
 
 
 def _kinetic_check(p) -> None:
-    _require(math.isfinite(p["burst_rate_hz"]), "kinetic", "burst_rate_hz",
-             p["burst_rate_hz"], "finite")
+    rate = p["burst_rate_hz"]
+    _require(math.isfinite(rate) and rate >= 0, "kinetic", "burst_rate_hz",
+             rate, "finite and >= 0")
     _require(math.isfinite(p["burst_length_s"]) and p["burst_length_s"] >= 0,
              "kinetic", "burst_length_s", p["burst_length_s"], "finite and >= 0")
 
@@ -464,8 +492,9 @@ def _kinetic_shape(rows, draws, n, dt, theta) -> np.ndarray:
 
 def _wind_check(p) -> None:
     _require(p["mean_speed"] > 0, "wind", "mean_speed", p["mean_speed"], "positive")
-    _require(math.isfinite(p["gust_rate_hz"]), "wind", "gust_rate_hz",
-             p["gust_rate_hz"], "finite")
+    rate = p["gust_rate_hz"]
+    _require(math.isfinite(rate) and rate >= 0, "wind", "gust_rate_hz",
+             rate, "finite and >= 0")
     _require(math.isfinite(p["gust_length_s"]) and p["gust_length_s"] >= 0,
              "wind", "gust_length_s", p["gust_length_s"], "finite and >= 0")
 

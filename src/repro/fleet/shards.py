@@ -658,6 +658,12 @@ class _ShardExecutor:
                 claim = self.ledger.claim(key, self.lease_ttl_s)
                 if claim is None:
                     continue
+                if self.ledger.has_shard(key):
+                    # Published (and its lease released) between the
+                    # check above and this claim: nothing left to run.
+                    self.ledger.release(key)
+                    progressed = True
+                    continue
                 if claim == "stolen":
                     self.stolen += 1
                     self._inc("fleet.shard.leases_stolen")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.energy.traces import BLOCK_ROWS
+from repro.energy.traces import grid_power
 
 #: Reasons an event can be missed.
 MISS_BUSY = "busy"          # device still processing a previous event
@@ -76,31 +76,15 @@ def harvest_percentiles(traces) -> list:
     ``trace.power(linspace(0, duration, 512))``, one dict per trace.
 
     Byte-identical to :func:`percentile_dict` over that bulk query, but
-    built for :data:`~repro.energy.traces.BLOCK_ROWS` traces at a time:
-    only the two samples bracketing each grid point are gathered (never a
-    stacked copy of whole traces), and traces on the same ``(n, dt)``
-    share one grid's interpolation weights.
+    summarized a block of traces at a time from
+    :func:`~repro.energy.traces.grid_power`.
     """
-    points = HARVEST_POINTS
     keys = [f"p{q:g}" for q in HARVEST_QS]
-    weights: dict = {}
     out = []
-    for start in range(0, len(traces), BLOCK_ROWS):
-        block = traces[start:start + BLOCK_ROWS]
-        ends = np.empty((len(block), 2 * points))
-        frac = np.empty((len(block), points))
-        for k, trace in enumerate(block):
-            key = (len(trace.samples_mw), trace.dt)
-            w = weights.get(key)
-            if w is None:
-                i, f = trace._lerp_weights(np.linspace(0.0, trace.duration, points))
-                w = weights[key] = (np.concatenate([i, i + 1]), f)
-            trace.samples_mw.take(w[0], out=ends[k])
-            frac[k] = w[1]
-        values = (1 - frac) * ends[:, :points] + frac * ends[:, points:]
+    for power in grid_power(traces, HARVEST_POINTS):
         out.extend(
             dict(zip(keys, row))
-            for row in percentile_rows(values, HARVEST_QS).tolist()
+            for row in percentile_rows(power, HARVEST_QS).tolist()
         )
     return out
 

@@ -27,7 +27,13 @@ from repro.energy import (
     trace_from_csv,
     wind_trace,
 )
-from repro.energy.traces import BLOCK_ROWS, _ou_process, _ou_scan, synthesize_traces
+from repro.energy.traces import (
+    BLOCK_ROWS,
+    _ou_process,
+    _ou_scan,
+    grid_power,
+    synthesize_traces,
+)
 from repro.errors import ConfigError, EnergyError
 from repro.fleet import runner
 from repro.fleet.__main__ import main as fleet_main
@@ -324,6 +330,18 @@ def test_fleet_larger_than_the_cap_builds_each_trace_once(synthesized):
     assert len(synthesized) == 3
 
 
+def test_cached_traces_do_not_pin_their_stacked_block():
+    # A row view would keep its whole (BLOCK_ROWS, n) block alive for as
+    # long as the cache holds that one trace.
+    grid = {"duration": 50.0, "dt": 1.0}
+    traces = build_traces(
+        [({"family": "solar", **grid}, seed) for seed in range(BLOCK_ROWS + 5)]
+    )
+    for trace in traces:
+        assert trace.samples_mw.base is None
+        assert trace._cum_energy.base is None
+
+
 def test_identical_specs_in_one_call_share_one_trace(synthesized):
     spec = {"family": "wind", "duration": 30.0, "dt": 1.0, "seed": 4}
     a, b, c = build_traces([(spec, 0), (spec, 1), (dict(spec, seed=5), 0)])
@@ -353,6 +371,17 @@ def test_harvest_percentiles_match_the_per_trace_summary():
     for trace, summary in zip(traces, stacked):
         grid = np.linspace(0.0, trace.duration, 512)
         assert summary == percentile_dict(trace.power(grid), qs=(10, 50, 90))
+
+
+def test_grid_power_rows_are_the_bulk_power_query():
+    traces = [
+        wind_trace(duration=40.0 + 7 * (i % 3), dt=0.5, seed=i)
+        for i in range(BLOCK_ROWS + 3)
+    ]
+    blocks = list(grid_power(traces, 33))
+    assert [len(b) for b in blocks] == [BLOCK_ROWS, 3]
+    expected = np.stack([t.power(np.linspace(0.0, t.duration, 33)) for t in traces])
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
 def test_percentile_rows_match_numpy():
@@ -398,8 +427,10 @@ def test_degenerate_grids_are_config_errors(family, grid, match):
         ("solar", {"noise_mw": -0.1}, "noise_mw"),
         ("wind", {"gust_length_s": -1.0}, "gust_length_s"),
         ("wind", {"gust_rate_hz": float("inf")}, "gust_rate_hz"),
+        ("wind", {"gust_rate_hz": -0.01}, "gust_rate_hz"),
         ("kinetic", {"burst_length_s": -1.0}, "burst_length_s"),
         ("kinetic", {"burst_rate_hz": float("inf")}, "burst_rate_hz"),
+        ("kinetic", {"burst_rate_hz": -0.02}, "burst_rate_hz"),
         ("piezo", {"cycle_period_s": float("inf")}, "cycle_period_s"),
         ("rf", {"mean_mw": "strong"}, "mean_mw must be a number"),
         ("rf", {"mean_mw": "0.5"}, "mean_mw must be a number"),
