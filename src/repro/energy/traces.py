@@ -29,6 +29,8 @@ Each seeded family is written once, in two halves:
 its one-row case, so a trace built alone and the same trace built inside a
 fleet are byte-identical — every operation is elementwise, and ``cumsum``
 along a row is the same sequential fold as on a 1-D array.
+:func:`grid_power` samples many traces on their grids the same way, a
+block at a time (the fleet's harvest summary).
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from repro.fleet.shards import (
     ScenarioShardSource,
     ShardLedger,
     ShardPlan,
+    _ShardExecutor,
     run_sharded,
     shard_key,
 )
@@ -301,6 +302,31 @@ class TestShardedIdentity:
             FleetShardSource(spec), str(tmp_path / "led"), shards=6, workers=3
         )
         assert canonical(result.aggregate()) == expected
+
+    def test_shard_published_between_check_and_claim_runs_once(
+            self, tmp_path, baseline):
+        spec, _ = baseline
+        ledger_dir = str(tmp_path / "led")
+        run_sharded(FleetShardSource(spec), ledger_dir, shards=3)
+
+        class LateLedger(ShardLedger):
+            """Another worker publishes (and releases) each shard right
+            after this worker's pre-claim checks have read it missing."""
+
+            def __init__(self, root):
+                super().__init__(root)
+                self.checks = {}
+
+            def has_shard(self, key):
+                self.checks[key] = self.checks.get(key, 0) + 1
+                return self.checks[key] > 2 and super().has_shard(key)
+
+        ledger = LateLedger(ledger_dir)
+        plan = ShardPlan.from_counts(spec.num_devices, shards=3)
+        executor = _ShardExecutor(FleetShardSource(spec), plan, ledger)
+        executor.drain(poll_s=0.01)
+        assert executor.executed == 0
+        assert not os.listdir(ledger.leases_dir)
 
     def test_drain_children_ship_engine_metrics_home(self, tmp_path, baseline):
         spec, _ = baseline
