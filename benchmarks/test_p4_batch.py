@@ -3,7 +3,7 @@
 Measures what the PR-4 tentpole bought:
 
 * **batched serial** — the 32-device solar farm through the lockstep
-  engine (``engine="auto"``), against the recorded PR-2 per-device serial
+  engine (``engine="batched"``), against the recorded PR-2 per-device serial
   baseline; the acceptance floor is a 4x speedup;
 * **device-path serial** — the same fleet through ``engine="device"``,
   re-measured fresh so the ratio is visible inside one run;
@@ -78,7 +78,7 @@ def test_p4_batched_serial_speedup():
     print_table(
         f"P4: {devices}-device serial fleet, engine comparison",
         [
-            ("batched (auto)", f"{batched_best * 1e3:.1f}", f"{batched_dps:.0f}"),
+            ("batched", f"{batched_best * 1e3:.1f}", f"{batched_dps:.0f}"),
             ("per-device", f"{device_best * 1e3:.1f}", f"{device_dps:.0f}"),
             ("PR-2 recorded baseline", "-", f"{P2_SERIAL_DEVICES_PER_S:.0f}"),
         ],

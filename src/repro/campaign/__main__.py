@@ -36,6 +36,7 @@ from repro.campaign.store import CampaignStore
 from repro.errors import ConfigError, ReproError
 from repro.faults import FaultPlan, chaos
 from repro.fleet.__main__ import add_fault_flags, build_retry_policy
+from repro.fleet.runner import ENGINES
 from repro.obs.manifest import build_manifest
 from repro.obs.recorder import Recorder, recording
 
@@ -63,7 +64,7 @@ def _progress(cell, status) -> None:
 
 def _run(
     spec: CampaignSpec, out: str, workers: int, resume: bool, report_json,
-    engine: str = "auto", trace_out=None, metrics_out=None,
+    engine: str = "batched", trace_out=None, metrics_out=None,
     chaos_plan=None, retry=None, shard_devices=None,
 ) -> int:
     store = CampaignStore(out)
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
     run.add_argument("--spec", default=None, help="run a CampaignSpec JSON file instead")
     run.add_argument("--out", required=True, help="checkpoint/report directory")
     run.add_argument("--workers", type=int, default=1, help="process count (<=1: serial)")
-    run.add_argument("--engine", choices=("auto", "batched", "device"), default="auto",
+    run.add_argument("--engine", choices=ENGINES, default="batched",
                      help="fleet engine for every cell (see repro.fleet)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already checkpointed under --out")

@@ -82,7 +82,7 @@ def _run_cell_sharded(cell, fleet_spec, engine, retry, shard_devices, shard_root
 def run_cell(
     cell: CampaignCell,
     workers: int = 1,
-    engine: str = "auto",
+    engine: str = "batched",
     retry: Optional[RetryPolicy] = None,
     shard_devices: Optional[int] = None,
     shard_root: Optional[str] = None,
@@ -166,7 +166,7 @@ class CampaignRunner:
         store: Optional[CampaignStore] = None,
         workers: int = 1,
         resume: bool = False,
-        engine: str = "auto",
+        engine: str = "batched",
         retry: Optional[RetryPolicy] = None,
         shard_devices: Optional[int] = None,
     ):
@@ -296,7 +296,7 @@ def run_campaign(
     workers: int = 1,
     resume: bool = False,
     progress=None,
-    engine: str = "auto",
+    engine: str = "batched",
     retry: Optional[RetryPolicy] = None,
     shard_devices: Optional[int] = None,
 ) -> CampaignResult:

@@ -290,6 +290,8 @@ def trace_from_csv(
     """
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed CSV {path!r}: {exc}") from exc
     if data.shape[1] == 1:

@@ -10,10 +10,11 @@ package layers that on top of :mod:`repro.sim`:
 * :mod:`repro.fleet.scenarios` — the :data:`SCENARIOS` registry of named,
   parameterized fleets (``solar-farm-100``, ``indoor-rf-swarm``,
   ``mixed-harvester-city``, ``dev-smoke``);
-* :mod:`repro.fleet.runner` — :class:`FleetRunner`, which executes devices
-  through the lockstep batched engine (:mod:`repro.sim.batch`) or the
-  per-device simulator (``engine="auto"|"batched"|"device"``, all
-  bit-identical), in-process or — with ``workers > 1`` — over forked
+* :mod:`repro.fleet.runner` — :class:`FleetRunner`, which executes every
+  device through the lockstep batched engine (:mod:`repro.sim.batch`), or
+  through the per-device simulator that is its oracle
+  (``engine="batched"|"device"``, bit-identical), in-process or — with
+  ``workers > 1`` — over forked
   drain processes that each take a device-axis shard, with deterministic
   per-device seeding (worker count never changes results) and an
   in-process fallback whenever forking cannot win;

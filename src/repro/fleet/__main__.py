@@ -30,8 +30,8 @@ Observability (all off by default, and guaranteed not to change results):
 ``--trace-out`` streams span records as JSON lines (first line: the run's
 provenance manifest), ``--metrics-out`` writes the collected metrics
 summary (+ phase profile with ``--profile``), and ``--explain`` prints
-the engine-selection table — which devices the lockstep engine takes and
-why the rest fall back — without simulating anything.  Combining
+the device count by execution mode and controller kind, and which engine
+will run them, without simulating anything.  Combining
 ``--explain`` with ``--chaos PLAN.json`` additionally validates the plan
 (unknown sites fail loudly) and prints the armed sites, still without
 simulating.
@@ -43,10 +43,11 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from repro.errors import ConfigError, ReproError
 from repro.faults import FaultPlan, RetryPolicy, chaos
-from repro.fleet.runner import FleetRunner
+from repro.fleet.runner import ENGINES, FleetRunner
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.shards import (
     DEFAULT_LEASE_TTL_S,
@@ -102,35 +103,17 @@ def _build_spec(args) -> FleetSpec:
 
 
 def _print_explain(spec: FleetSpec, engine: str) -> None:
-    """Per-device engine-selection table: lockstep or fallback, and why."""
-    from repro.sim.batch import _ineligibility
-
-    print(
-        f"fleet {spec.name!r}: engine selection for --engine {engine} "
-        f"({spec.num_devices} devices)"
+    """What ``run`` would simulate, without simulating: the device count
+    by execution mode and controller kind, and which engine runs them."""
+    runs = (
+        "one lockstep engine (one per shard when sharded)"
+        if engine == "batched"
+        else "one simulator per device"
     )
-    fallbacks = 0
-    for device in spec.devices:
-        found = None if engine == "device" else _ineligibility(device)
-        if engine == "device":
-            verdict = "per-device (forced by --engine device)"
-        elif found is None:
-            verdict = "batched lockstep"
-        else:
-            code, reason = found
-            verdict = f"per-device fallback [{code}]: {reason}"
-            fallbacks += 1
-        print(f"  {device.name:<18} {verdict}")
-    if engine == "batched" and fallbacks:
-        print(
-            f"  note: --engine batched would refuse this fleet "
-            f"({fallbacks} ineligible device(s))"
-        )
-    elif engine != "device":
-        print(
-            f"  {spec.num_devices - fallbacks} device(s) batched, "
-            f"{fallbacks} per-device fallback(s)"
-        )
+    print(f"fleet {spec.name!r}: {spec.num_devices} devices, --engine {engine}: {runs}")
+    counts = Counter((d.execution, dict(d.controller)["kind"]) for d in spec.devices)
+    for (execution, kind), n in sorted(counts.items()):
+        print(f"  {n:>7}  {execution:<13} {kind}")
 
 
 def _run_observed(args, plan, source, execute, report) -> int:
@@ -311,8 +294,9 @@ def main(argv=None) -> int:
     run.add_argument("--workers", type=int, default=1,
                      help="process count (<=1: in-process); sharded runs "
                           "drain the ledger with N work-stealing processes")
-    run.add_argument("--engine", choices=("auto", "batched", "device"), default="auto",
-                     help="simulation engine (auto: lockstep-batch eligible devices)")
+    run.add_argument("--engine", choices=ENGINES, default="batched",
+                     help="simulation engine (batched: one lockstep engine; "
+                          "device: one simulator per device)")
     run.add_argument("--devices", type=int, default=None, help="override device count")
     run.add_argument("--seed", type=int, default=None, help="override fleet seed")
     run.add_argument("--duration", type=float, default=None, help="override trace duration (s)")
@@ -343,8 +327,8 @@ def main(argv=None) -> int:
                      help="include wall-clock timing in the JSON report")
     run.add_argument("--quiet", action="store_true", help="suppress the per-device table")
     run.add_argument("--explain", action="store_true",
-                     help="print per-device engine selection (and fallback "
-                          "reasons) instead of running")
+                     help="print the device mix and the engine that would "
+                          "run it instead of running")
     run.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write tracing spans as JSON lines (first line: "
                           "the run manifest)")

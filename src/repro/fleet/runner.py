@@ -4,10 +4,10 @@
 into live trace / storage / MCU / profile / controller objects, replays
 its episodes through the event-driven simulator, and returns a compact
 :class:`~repro.fleet.results.DeviceResult`.  :func:`run_device_batch` is
-its many-device twin: it routes batch-eligible devices through the
-lockstep :class:`~repro.sim.batch.BatchedFleetEngine` (one numpy step per
-event index for the whole subset) and falls back to :func:`run_device`
-per device for the rest — see the ``engine`` knob on :class:`FleetRunner`.
+its many-device twin: every device runs through one lockstep
+:class:`~repro.sim.batch.BatchedFleetEngine` (one numpy step per event
+index for the whole batch); ``engine="device"`` loops :func:`run_device`
+instead, the oracle the goldens check the engine against.
 :func:`run_batch_with_recovery` wraps it in the one recovery ladder
 (retry, per-device split, last attempt, quarantine).
 
@@ -66,8 +66,8 @@ from repro.sim.profiles import InferenceProfile
 from repro.sim.results import harvest_percentiles
 from repro.sim.simulator import Simulator, SimulatorConfig
 
-#: Engines a :class:`FleetRunner` can route devices through.
-ENGINES = ("auto", "batched", "device")
+#: Engines a :class:`FleetRunner` can run devices through.
+ENGINES = ("batched", "device")
 
 #: Below this many devices a parallel run stays in-process: per-device
 #: work is a few milliseconds, so forking and result transport swamp the
@@ -309,45 +309,21 @@ def run_device(task) -> DeviceResult:
     )
 
 
-def run_device_batch(tasks, engine: str = "auto") -> list:
+def run_device_batch(tasks, engine: str = "batched") -> list:
     """Simulate many devices in one process; returns DeviceResults in task order.
 
-    Batch-eligible devices (profile-mode single-cycle or intermittent
-    execution, non-csv trace, batchable controller/continue rule — see
-    :func:`repro.sim.batch.batch_eligible`) run in lockstep through one
-    :class:`~repro.sim.batch.BatchedFleetEngine`; the rest run one at a
-    time through :func:`run_device`.  With ``engine="batched"`` an
-    ineligible device is a :class:`ConfigError` naming each offender and
-    *why* it cannot batch (execution mode vs trace family vs controller)
-    instead of a fallback; ``engine="device"`` skips the lockstep engine
-    entirely.  All three produce bit-identical results.
+    ``engine="batched"`` runs every task in lockstep through one
+    :class:`~repro.sim.batch.BatchedFleetEngine`; ``engine="device"``
+    runs them one at a time through :func:`run_device`.  Both produce
+    bit-identical results.
     """
-    from repro.sim.batch import BatchedFleetEngine, batch_eligible, batch_ineligibility
+    from repro.sim.batch import BatchedFleetEngine
 
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "device":
         return [run_device(t) for t in tasks]
-    eligible = [t for t in tasks if batch_eligible(t[1])]
-    if engine == "batched" and len(eligible) != len(tasks):
-        reasons = "; ".join(
-            f"{t[1].name}: {batch_ineligibility(t[1])}"
-            for t in tasks
-            if not batch_eligible(t[1])
-        )
-        raise ConfigError(
-            f"engine='batched' but devices are not batch-eligible: {reasons}"
-        )
-    by_index = {}
-    if eligible:
-        for result in BatchedFleetEngine(eligible).run():
-            by_index[result.index] = result
-    if len(eligible) != len(tasks):
-        batched = {t[0] for t in eligible}
-        for task in tasks:
-            if task[0] not in batched:
-                by_index[task[0]] = run_device(task)
-    return [by_index[t[0]] for t in tasks]
+    return BatchedFleetEngine(tasks).run()
 
 
 def _apply_chunk_faults(ops) -> None:
@@ -397,24 +373,23 @@ def _run_chunk(tasks, engine: str, ops) -> list:
 class _ChunkJob:
     """One unit of the recovery ladder: a chunk at a ladder stage."""
 
-    __slots__ = ("tasks", "engine", "attempts", "stage", "not_before")
+    __slots__ = ("tasks", "attempts", "stage", "not_before")
 
-    def __init__(self, tasks, engine, stage="chunk"):
+    def __init__(self, tasks, stage="chunk"):
         self.tasks = tasks
-        self.engine = engine
         self.attempts = 0  # completed (failed) attempts at this stage
         self.stage = stage  # "chunk" | "device" (post-split) | "serial"
         self.not_before = 0.0  # monotonic deadline gating the next attempt
 
 
 class _RecoveryLadder:
-    """Retries, engine degradation, and per-device quarantine for one batch.
+    """Retries, per-device splits, and quarantine for one batch.
 
     The ladder per job: up to ``max_retries`` retries with exponential
     backoff at the current stage; an exhausted multi-device chunk splits
-    into per-device jobs on the ``"device"`` engine (a faulting batched
-    chunk never takes its neighbours down); an exhausted single device
-    gets one last attempt; only then is it quarantined as a
+    into one-device jobs — one-row engines — so a faulting device never
+    takes its neighbours down; an exhausted single device gets one last
+    attempt; only then is it quarantined as a
     :class:`~repro.fleet.results.DeviceFailure`.  Spec problems
     (:class:`ConfigError`) are never retried — they would fail
     identically forever and belong to the caller.  Retried work is
@@ -432,7 +407,7 @@ class _RecoveryLadder:
     def recover(self, tasks, first_error=None) -> tuple:
         """Run ``tasks`` to completion; ``first_error`` is a failed first
         attempt already made by the caller."""
-        job = _ChunkJob(tasks, self.engine)
+        job = _ChunkJob(tasks)
         jobs = deque()
         if first_error is None:
             jobs.append(job)
@@ -457,7 +432,7 @@ class _RecoveryLadder:
         if self.injector.enabled:
             ops = tuple(f.directive() for f in self.injector.poll("fleet.chunk"))
         try:
-            accepted = _run_chunk(job.tasks, job.engine, ops)
+            accepted = _run_chunk(job.tasks, self.engine, ops)
         except ConfigError:
             raise
         except Exception as exc:
@@ -480,16 +455,15 @@ class _RecoveryLadder:
                 self.metrics.observe("fleet.retry.backoff_s", backoff)
             jobs.append(job)
         elif len(job.tasks) > 1:
-            # Batched → per-device degradation: re-run each device alone
-            # so one faulting device cannot poison the whole chunk.
+            # Re-run each device alone so one faulting device cannot
+            # poison the whole chunk.
             self._inc("fleet.retry.splits")
-            jobs.extend(_ChunkJob([task], "device", "device") for task in job.tasks)
+            jobs.extend(_ChunkJob([task], "device") for task in job.tasks)
         else:
             # Last rung before quarantine, taken at once: still polls the
             # injector, so a plan hostile enough to exhaust it proves
             # quarantine works.
             job.stage = "serial"
-            job.engine = "device"
             self._inc("fleet.retry.serial_attempts")
             self._attempt(job, jobs)
 
@@ -541,17 +515,15 @@ def usable_cpus() -> int:
 class FleetRunner:
     """Executes a :class:`FleetSpec`, in-process or over drain processes.
 
-    ``engine`` selects the per-device simulation form:
+    ``engine`` selects the simulation form:
 
-    * ``"auto"`` (default) — the lockstep batched engine for every
-      batch-eligible device (profile-mode single-cycle *and* intermittent
-      execution, continue rules included), with a per-device fallback for
-      the rest (dataset mode, csv traces, unbatchable controllers);
-    * ``"batched"`` — like auto, but an ineligible device raises (naming
-      each device and why) instead of falling back;
-    * ``"device"`` — the original one-simulator-per-device path.
+    * ``"batched"`` (default) — the lockstep batched engine, for every
+      device a fleet spec can express (single-cycle and intermittent
+      execution, continue rules, seeded and csv traces);
+    * ``"device"`` — the original one-simulator-per-device path, the
+      oracle the goldens and the speedup benches measure against.
 
-    All engines produce bit-identical results (see ``tests/golden/``).
+    Both engines produce bit-identical results (see ``tests/golden/``).
 
     ``workers <= 1`` runs in-process (debuggable with plain
     pdb/profilers).  Larger values split the fleet into one device-axis
@@ -567,7 +539,7 @@ class FleetRunner:
         self,
         spec: FleetSpec,
         workers: int = 1,
-        engine: str = "auto",
+        engine: str = "batched",
         retry: Optional[RetryPolicy] = None,
     ):
         if not isinstance(spec, FleetSpec):
@@ -602,8 +574,8 @@ class FleetRunner:
         are pinned by (fleet seed, device index), never by which process
         executes them.  Execution is fault-tolerant
         (:func:`run_batch_with_recovery`): failed attempts are retried
-        with backoff per ``self.retry``, exhausted batched chunks degrade
-        to per-device execution, and devices that still fail are
+        with backoff per ``self.retry``, exhausted chunks split into
+        one-device runs, and devices that still fail are
         quarantined on ``FleetResult.failures`` instead of aborting the
         fleet.  A parallel run adds the shard ledger's guarantees: a
         dead drain child's shard is stolen after its lease expires, and
@@ -647,12 +619,8 @@ class FleetRunner:
         build identical outcome registries regardless of worker count.
         (Engine internals — ``batch.*`` counters and profiler phases —
         are recorded where the engine runs and are shard-granular by
-        nature.)  Includes the engine-selection telemetry: one
-        ``fleet.fallback.<code>`` counter per device that the lockstep
-        engine would refuse.
+        nature.)
         """
-        from repro.sim.batch import batch_ineligibility_code
-
         metrics.inc("fleet.runs")
         metrics.inc("fleet.devices", result.num_devices)
         metrics.inc("fleet.events", result.num_events)
@@ -666,21 +634,12 @@ class FleetRunner:
         metrics.set_gauge("fleet.engine", self.engine)
         metrics.set_gauge("fleet.workers", result.workers)
         metrics.set_gauge("fleet.parallel", bool(self.last_run_parallel))
-        if self.engine != "device":
-            fallbacks = 0
-            for device in self.spec.devices:
-                code = batch_ineligibility_code(device)
-                if code is not None:
-                    fallbacks += 1
-                    metrics.inc(f"fleet.fallback.{code}")
-            metrics.inc("fleet.devices.batched", result.num_devices - fallbacks)
-            metrics.inc("fleet.devices.fallback", fallbacks)
 
 
 def run_fleet(
     spec: FleetSpec,
     workers: int = 1,
-    engine: str = "auto",
+    engine: str = "batched",
     retry: Optional[RetryPolicy] = None,
 ) -> FleetResult:
     """One-call convenience wrapper around :class:`FleetRunner`."""

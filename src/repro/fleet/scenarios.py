@@ -333,8 +333,8 @@ def city_block(num_devices: int = 1000, seed: int = 31, duration: float = 3600.0
     "RF links and shaded solar with undersized capacitors, so devices "
     "power-cycle constantly.  Every other node is a SONIC-style "
     "intermittent baseline; the single-cycle half mixes Q-learning and "
-    "greedy runtimes with threshold/learned continue rules — the full "
-    "PR-5 batched-engine eligibility surface in one fleet.",
+    "greedy runtimes with threshold/learned continue rules — every "
+    "lockstep device class in one fleet.",
 )
 def brownout_grid(num_devices: int = 256, seed: int = 47, duration: float = 1800.0) -> FleetSpec:
     gen = _layout_rng(seed)

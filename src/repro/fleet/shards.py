@@ -604,7 +604,7 @@ class _ShardExecutor:
         source,
         plan: ShardPlan,
         ledger: ShardLedger,
-        engine: str = "auto",
+        engine: str = "batched",
         retry: Optional[RetryPolicy] = None,
         max_rss_mb: Optional[float] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
@@ -945,8 +945,7 @@ def _record_outcome_metrics(metrics, agg: ShardAggregator, aggregate: dict,
     devices, so sharded and unsharded registries agree on every
     chunking-invariant metric.  (Engine internals — ``batch.*`` counters
     — are recorded where each shard executes and are sub-batch-granular
-    by nature; engine-selection telemetry likewise stays with the
-    executing process.)"""
+    by nature.)"""
     metrics.inc("fleet.runs")
     metrics.inc("fleet.devices", aggregate["devices"])
     metrics.inc("fleet.events", aggregate["events"])
@@ -969,7 +968,7 @@ def run_sharded(
     shards: Optional[int] = None,
     shard_width: Optional[int] = None,
     plan: Optional[ShardPlan] = None,
-    engine: str = "auto",
+    engine: str = "batched",
     workers: int = 1,
     resume: bool = False,
     retry: Optional[RetryPolicy] = None,
@@ -1061,7 +1060,7 @@ def run_sharded(
     return result
 
 
-def drain_fleet(spec: FleetSpec, workers: int, engine: str = "auto",
+def drain_fleet(spec: FleetSpec, workers: int, engine: str = "batched",
                 retry: Optional[RetryPolicy] = None) -> tuple:
     """Run ``spec`` over ``workers`` processes; ``(devices, failures)``.
 

@@ -251,7 +251,7 @@ class GatewayServer:
                 )
             else:
                 twin = await loop.run_in_executor(
-                    None, lambda: FleetTwin.from_spec(spec)
+                    None, lambda: FleetTwin.create(spec)
                 )
             actor = self._register(twin, message.get("fleet"))
             return actor.twin.progress()

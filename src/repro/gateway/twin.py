@@ -24,24 +24,26 @@ from repro.errors import ConfigError, GatewayError
 from repro.fleet.results import FleetResult
 from repro.fleet.scenarios import SCENARIOS
 from repro.fleet.spec import DeviceSpec, FleetSpec
-from repro.sim.batch import (
-    BatchedFleetEngine,
-    batch_eligible,
-    batch_ineligibility,
-)
+from repro.sim.batch import BatchedFleetEngine
 
 
-def _require_eligible(devices, start_index: int) -> None:
-    """ConfigError naming every batch-ineligible device (gateway twins
-    run the lockstep engine only; there is no per-device fallback)."""
-    reasons = [
-        f"{spec.name}[{start_index + i}]: {batch_ineligibility(spec)}"
+def refuse_server_files(devices, start_index: int) -> None:
+    """ConfigError naming every csv-trace device of a gateway request.
+
+    A gateway spec comes from outside the process, and a csv trace would
+    make the server open a path of the client's choosing (the csv
+    parser's error quotes the file's first line).  In-process twins
+    (:meth:`FleetTwin.from_spec`) still replay csv traces.
+    """
+    named = [
+        f"{spec.name}[{start_index + i}]"
         for i, spec in enumerate(devices)
-        if not batch_eligible(spec)
+        if dict(spec.trace).get("family") == "csv"
     ]
-    if reasons:
+    if named:
+        names = ", ".join(named)
         raise ConfigError(
-            "gateway fleets must be batch-eligible: " + "; ".join(reasons)
+            f"gateway fleets may not read server-side files; csv traces: {names}"
         )
 
 
@@ -78,7 +80,7 @@ class FleetTwin:
         spec = SCENARIOS.build(scenario, **overrides)
         twin = cls(spec.name, spec.seed)
         twin.journal[-1].update({"scenario": scenario, "overrides": overrides})
-        twin._add_cohort([d.to_dict() for d in spec.devices], journal=False)
+        twin._add_cohort(spec.devices)
         return twin
 
     @classmethod
@@ -87,8 +89,15 @@ class FleetTwin:
         spec = FleetSpec.from_dict(spec_dict)
         twin = cls(spec.name, spec.seed)
         twin.journal[-1]["spec"] = spec.to_dict()
-        twin._add_cohort([d.to_dict() for d in spec.devices], journal=False)
+        twin._add_cohort(spec.devices)
         return twin
+
+    @classmethod
+    def create(cls, spec_dict: dict) -> "FleetTwin":
+        """The gateway's ``create`` verb over an inline spec:
+        :meth:`from_spec`, refusing csv traces (:func:`refuse_server_files`)."""
+        refuse_server_files(FleetSpec.from_dict(spec_dict).devices, 0)
+        return cls.from_spec(spec_dict)
 
     @classmethod
     def from_create_op(cls, op: dict) -> "FleetTwin":
@@ -122,14 +131,13 @@ class FleetTwin:
         """``True`` once every cohort's engine has finished."""
         return all(c.engine.finished for c in self.cohorts)
 
-    def _add_cohort(self, device_dicts, journal: bool = True) -> dict:
-        devices = [DeviceSpec.from_dict(d) for d in device_dicts]
+    def _add_cohort(self, devices, device_dicts=None) -> dict:
+        """Start a cohort over parsed ``devices``; journaled as a submit
+        op when the request's ``device_dicts`` are given."""
         if not devices:
             raise GatewayError("submit needs at least one device")
-        start = self.num_devices
-        _require_eligible(devices, start)
-        self.cohorts.append(_Cohort(start, devices, self.seed))
-        if journal:
+        self.cohorts.append(_Cohort(self.num_devices, devices, self.seed))
+        if device_dicts is not None:
             self.journal.append(
                 {"op": "submit", "devices": [dict(d) for d in device_dicts]}
             )
@@ -140,8 +148,11 @@ class FleetTwin:
         }
 
     def submit(self, device_dicts) -> dict:
-        """Add a cohort of devices to the live fleet (journaled)."""
-        return self._add_cohort(device_dicts, journal=True)
+        """The gateway's ``submit`` verb: add a cohort of devices to the
+        live fleet (journaled), refusing csv traces."""
+        devices = [DeviceSpec.from_dict(d) for d in device_dicts]
+        refuse_server_files(devices, self.num_devices)
+        return self._add_cohort(devices, device_dicts)
 
     def advance(self, steps=None) -> dict:
         """Advance every unfinished cohort by up to ``steps`` lockstep
@@ -186,7 +197,8 @@ class FleetTwin:
         for op in journal[1:]:
             kind = op.get("op")
             if kind == "submit":
-                twin._add_cohort(op.get("devices", []), journal=True)
+                dicts = op.get("devices", [])
+                twin._add_cohort([DeviceSpec.from_dict(d) for d in dicts], dicts)
             elif kind == "advance":
                 twin._replay_advance(op)
                 twin.journal.append(dict(op))

@@ -2,7 +2,7 @@
 
 from repro.runtime.state import RuntimeState, RuntimeStateBatch
 from repro.runtime.qlearning import QTable, discretize
-from repro.runtime.batched import batch_controllers, batchable
+from repro.runtime.batched import batch_controllers
 from repro.runtime.policies import (
     ExitPolicy,
     GreedyEnergyPolicy,
@@ -28,7 +28,6 @@ __all__ = [
     "QTable",
     "discretize",
     "batch_controllers",
-    "batchable",
     "ExitPolicy",
     "GreedyEnergyPolicy",
     "FixedExitPolicy",

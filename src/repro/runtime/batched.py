@@ -497,11 +497,6 @@ def _rule_key(rule):
     return None
 
 
-def rule_batchable(rule) -> bool:
-    """Can this continue rule run under the lockstep engine?"""
-    return _rule_key(rule) is not None
-
-
 def batch_continue_rules(controllers, max_steps: int, rows=None):
     """Partition per-device continue rules into batched rule groups.
 
@@ -509,7 +504,7 @@ def batch_continue_rules(controllers, max_steps: int, rows=None):
     :class:`NeverContinue` get ``group_of[row] == -1`` (the engine skips
     the continue loop for them entirely — the scalar rule is a draw-free,
     state-free STOP, so skipping is bit-identical).  Unbatchable rules are
-    a :class:`ConfigError` (callers pre-filter with :func:`batchable`).
+    a :class:`ConfigError`.
     ``rows`` restricts grouping to a subset of engine rows (the batched
     engine excludes intermittent-execution devices, whose controllers are
     never consulted).
@@ -574,20 +569,16 @@ _GROUP_CLASSES = {"qlearning": QLearningBatch, "fixed": FixedBatch,
                   "greedy": GreedyBatch, "lut": LUTBatch}
 
 
-def batchable(controller: Controller) -> bool:
-    """Can this controller instance run under the lockstep engine?"""
-    return _group_key(controller) is not None
-
-
 def batch_controllers(controllers, exit_cost_matrix, rows=None):
     """Partition per-device controllers into batched groups.
 
     ``controllers`` is one :class:`Controller` per engine row; the returned
     pair is ``(groups, group_of)`` where ``group_of[row]`` indexes into
     ``groups``.  Raises :class:`ConfigError` for controller families the
-    lockstep engine cannot express (callers pre-filter with
-    :func:`batchable`).  ``rows`` restricts grouping to a subset of engine
-    rows; the rest get ``group_of == -1`` (the engine leaves
+    lockstep engine cannot express (no fleet spec names one:
+    :class:`~repro.fleet.spec.DeviceSpec` admits only registered kinds
+    and declarative continue rules).  ``rows`` restricts grouping to a
+    subset of engine rows; the rest get ``group_of == -1`` (the engine leaves
     intermittent-execution devices ungrouped — their controller is never
     consulted, exactly like the scalar SONIC path).
     """

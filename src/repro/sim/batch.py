@@ -13,8 +13,8 @@ step then applies controller decisions across the device axis with fancy
 indexing through the batched controller groups of
 :mod:`repro.runtime.batched`.
 
-Three device classes vectorize (everything a fleet spec can express short
-of csv traces):
+Every device a fleet spec can express runs here, whatever its trace
+(seeded families and csv replays alike); three device classes vectorize:
 
 * **single-cycle, incremental inference off** — the original lockstep
   form: one exit decision per event, records written in bulk;
@@ -69,25 +69,21 @@ produces **bit-identical** results to one uninterrupted :meth:`run` —
 the property the gateway service (:mod:`repro.gateway`) serves
 interactive traffic on, enforced against the same goldens.
 
-Eligibility: dataset mode (per-event forward passes through a live
-network) and csv traces (file-backed, deliberately uncached) fall back to
-the per-device path — see :func:`batch_ineligibility` and the ``engine``
-knob on :class:`~repro.fleet.runner.FleetRunner`.
+The per-device :class:`~repro.sim.simulator.Simulator` path
+(``engine="device"`` on :class:`~repro.fleet.runner.FleetRunner`) is the
+oracle this engine is checked against, not a fallback.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.intermittent.kernel import IntermittentFleetKernel
 from repro.obs.recorder import get_recorder
-from repro.runtime.batched import batch_continue_rules, batch_controllers, batchable
-from repro.runtime.controller import CONTROLLER_KINDS
-from repro.runtime.incremental import CONTINUE_RULE_KINDS
+from repro.runtime.batched import batch_continue_rules, batch_controllers
 from repro.runtime.state import RuntimeStateBatch
 from repro.sim.results import RecordColumns, SimulationResult, harvest_percentiles
 from repro.utils.rng import DrawBatch, as_generator
@@ -96,73 +92,6 @@ from repro.utils.rng import DrawBatch, as_generator
 #: repro.intermittent.kernel's REASON_* codes).
 _REASONS = ("", "busy", "energy")
 _MISS_NONE, _MISS_BUSY, _MISS_ENERGY = 0, 1, 2
-
-#: Execution models the lockstep engine can express.
-_BATCHED_EXECUTIONS = ("single-cycle", "intermittent")
-
-
-def _ineligibility(spec) -> Optional[tuple]:
-    """``(code, reason)`` for an ineligible spec, or ``None`` when it can
-    run under lockstep.
-
-    Checks, in order: execution mode, trace family, controller family,
-    continue rule.  (Duck-typed on the spec fields rather than importing
-    the fleet layer — this module sits below it.)  ``code`` is a short
-    stable slug used as a metrics-counter suffix
-    (``fleet.fallback.<code>``); ``reason`` is the human sentence.
-    """
-    if spec.execution not in _BATCHED_EXECUTIONS:
-        return (
-            "execution",
-            f"execution mode {spec.execution!r} has no lockstep form "
-            f"(batched: {_BATCHED_EXECUTIONS})",
-        )
-    family = dict(spec.trace).get("family")
-    if family == "csv":
-        return (
-            "trace-csv",
-            "trace family 'csv' (file-backed, deliberately uncached; "
-            "per-device)",
-        )
-    controller = dict(spec.controller)
-    kind = controller.get("kind")
-    if kind not in CONTROLLER_KINDS:
-        return (
-            "controller",
-            f"controller kind {kind!r} has no batched twin "
-            f"(batched: {CONTROLLER_KINDS})",
-        )
-    rule = controller.get("continue_rule")
-    if rule is not None:
-        rule_kind = dict(rule).get("kind") if isinstance(rule, dict) else None
-        if rule_kind not in CONTINUE_RULE_KINDS:
-            return (
-                "continue-rule",
-                f"controller continue_rule {rule!r} has no batched twin "
-                f"(batched kinds: {CONTINUE_RULE_KINDS})",
-            )
-    return None
-
-
-def batch_ineligibility(spec) -> Optional[str]:
-    """Why this :class:`~repro.fleet.spec.DeviceSpec` cannot run under
-    lockstep — or ``None`` when it can."""
-    found = _ineligibility(spec)
-    return None if found is None else found[1]
-
-
-def batch_ineligibility_code(spec) -> Optional[str]:
-    """Short stable slug for the first lockstep blocker (``None`` when
-    eligible): ``execution`` / ``trace-csv`` / ``controller`` /
-    ``continue-rule`` — the engine-selection telemetry key."""
-    found = _ineligibility(spec)
-    return None if found is None else found[0]
-
-
-def batch_eligible(spec) -> bool:
-    """Can this :class:`~repro.fleet.spec.DeviceSpec` run under lockstep?"""
-    return batch_ineligibility(spec) is None
-
 
 class _Device:
     """Materialized per-device objects + precomputed event-time queries."""
@@ -279,7 +208,7 @@ class _RunState:
 
 
 class BatchedFleetEngine:
-    """Runs a list of eligible ``(index, DeviceSpec, fleet_seed)`` tasks.
+    """Runs a list of ``(index, DeviceSpec, fleet_seed)`` tasks.
 
     Construction materializes every device (traces, profiles, controllers,
     per-event precomputations); :meth:`run` plays all episodes in lockstep
@@ -294,12 +223,6 @@ class BatchedFleetEngine:
             raise ConfigError("BatchedFleetEngine needs at least one device")
         prof = get_recorder().profiler
         t_build = time.perf_counter() if prof is not None else 0.0
-        for _, spec, _ in tasks:
-            reason = batch_ineligibility(spec)
-            if reason is not None:
-                raise ConfigError(
-                    f"device {spec.name!r} is not batch-eligible: {reason}"
-                )
         from repro.fleet.runner import build_traces, device_seeds
 
         # Traces first, for the whole engine at once: one stacked build
@@ -313,11 +236,6 @@ class BatchedFleetEngine:
             _Device(i, spec, s, trace)
             for (i, spec, _), s, trace in zip(tasks, seeds, traces)
         ]
-        for dev in self.devices:
-            if not dev.intermittent and not batchable(dev.controller):
-                raise ConfigError(
-                    f"device {dev.spec.name!r}: controller cannot be batched"
-                )
         m = len(self.devices)
         self._m = m
         max_ev = max(d.events.size for d in self.devices)

@@ -1,7 +1,7 @@
 """Batched lockstep engine equivalence tests (the PR-4 contract).
 
 The batched engine promises **bit-identical** results to the per-device
-simulator path for every eligible device: same per-device random streams
+simulator path for every device: same per-device random streams
 (`SeedSequence(fleet_seed, spawn_key=(i,))` consumed in the same order),
 same ledger arithmetic, same records.  These tests pin that promise over
 every registered scenario, every controller preset, the parallel
@@ -9,6 +9,7 @@ shard-drain path, and (via hypothesis) randomly composed small fleets.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,13 @@ from repro.fleet import SCENARIOS, DeviceSpec, FleetRunner, FleetSpec
 from repro.fleet.results import pack_device_results, unpack_device_results
 from repro.fleet.runner import run_device, run_device_batch
 from repro.runtime.controller import CONTROLLER_PRESETS, controller_preset
-from repro.sim.batch import BatchedFleetEngine, batch_eligible, batch_ineligibility
+from repro.sim.batch import BatchedFleetEngine
+
+#: Tracked measurement files: one column (power, needs ``dt``) and two
+#: columns (time, power).
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+CSV_1COL = os.path.join(DATA_DIR, "power_1col.csv")
+CSV_2COL = os.path.join(DATA_DIR, "power_2col.csv")
 
 #: Small overrides that keep every scenario in the seconds range.
 SCENARIO_CASES = [(name, {"num_devices": 4}) for name in SCENARIOS.names()]
@@ -29,6 +36,10 @@ def _payload(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
+def _rows(results) -> str:
+    return json.dumps([r.to_dict() for r in results], sort_keys=True)
+
+
 class TestScenarioEquivalence:
     @pytest.mark.parametrize("name,overrides", SCENARIO_CASES,
                              ids=[c[0] for c in SCENARIO_CASES])
@@ -36,23 +47,19 @@ class TestScenarioEquivalence:
         self, name, overrides, force_parallel
     ):
         spec = SCENARIOS.build(name, **overrides)
-        auto = FleetRunner(spec, workers=1, engine="auto").run()
+        batched = FleetRunner(spec, workers=1, engine="batched").run()
         device = FleetRunner(spec, workers=1, engine="device").run()
-        pooled = FleetRunner(spec, workers=2, engine="auto").run()
-        assert _payload(auto) == _payload(device)
-        assert _payload(auto) == _payload(pooled)
+        pooled = FleetRunner(spec, workers=2).run()
+        assert _payload(batched) == _payload(device)
+        assert _payload(batched) == _payload(pooled)
 
     def test_every_registered_scenario_is_fully_batch_eligible(self):
-        """The PR-5 acceptance bar: no registered device class falls back
-        to the per-device path under engine="auto" anymore."""
+        """Every registered device class builds into one lockstep engine
+        (the engine groups every single-cycle controller and rule)."""
         for name in SCENARIOS.names():
             spec = SCENARIOS.build(name, num_devices=8)
-            offenders = {
-                d.name: batch_ineligibility(d)
-                for d in spec.devices
-                if not batch_eligible(d)
-            }
-            assert not offenders, f"{name}: {offenders}"
+            tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+            assert len(BatchedFleetEngine(tasks).devices) == 8, name
 
 
 class TestContinueRuleEquivalence:
@@ -159,11 +166,19 @@ class TestPresetEquivalence:
 
 
 class TestEligibility:
+    """Which devices the lockstep engine takes: every device a fleet spec
+    can express, so there is no per-device fallback to select."""
+
     def test_intermittent_is_now_eligible(self):
-        """The PR-5 tentpole: the SONIC baseline class batches too."""
+        """Both execution models run in one engine, in index order."""
         spec = SCENARIOS.build("mixed-harvester-city", num_devices=12)
-        flags = {d.execution: batch_eligible(d) for d in spec.devices}
-        assert flags == {"single-cycle": True, "intermittent": True}
+        assert {d.execution for d in spec.devices} == {
+            "single-cycle", "intermittent"
+        }
+        tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
+        results = BatchedFleetEngine(tasks).run()
+        assert [r.index for r in results] == list(range(12))
+        assert _rows(results) == _rows(run_device(t) for t in tasks)
 
     def test_continue_rule_devices_are_eligible(self):
         for rule in (
@@ -175,118 +190,58 @@ class TestEligibility:
                 trace={"family": "constant", "power_mw": 0.02, "duration": 100.0},
                 controller={"kind": "qlearning", "continue_rule": rule},
             )
-            assert batch_eligible(d)
-            assert batch_ineligibility(d) is None
-
-    def test_instance_continue_rule_still_accepted_and_falls_back(self):
-        """A live ContinueRule object in a controller dict predates the
-        declarative rule specs and must keep working end-to-end — it just
-        routes to the per-device path instead of the lockstep engine."""
-        from repro.runtime.incremental import ThresholdContinue
-
-        d = DeviceSpec(
-            name="instance-rule",
-            trace={"family": "constant", "power_mw": 0.05, "duration": 200.0},
-            controller={
-                "kind": "greedy",
-                "reserve_fraction": 0.1,
-                "continue_rule": ThresholdContinue(0.5),
-            },
-            events={"kind": "uniform", "count": 10},
-        )
-        assert not batch_eligible(d)
-        assert "continue_rule" in batch_ineligibility(d)
-        result = FleetRunner(
-            FleetSpec(name="inst", seed=3, devices=[d]), workers=1
-        ).run()
-        assert result.num_devices == 1
-
-    def test_csv_trace_is_ineligible_with_reason(self):
-        d = DeviceSpec(
-            name="csv-dev",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        assert not batch_eligible(d)
-        assert "csv" in batch_ineligibility(d)
-
-    def test_engine_batched_error_names_device_and_reason(self):
-        """The error must say *why* each device cannot batch, not just
-        which ones (execution mode vs trace family vs controller)."""
-        spec = SCENARIOS.build("dev-smoke", num_devices=2)
-        bad = DeviceSpec(
-            name="csv-straggler",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        mixed = FleetSpec(
-            name="mixed", seed=3, devices=list(spec.devices) + [bad]
-        )
-        with pytest.raises(ConfigError) as err:
-            run_device_batch(
-                [(i, d, mixed.seed) for i, d in enumerate(mixed.devices)],
-                engine="batched",
+            tasks = [(0, d, 5)]
+            assert _rows(BatchedFleetEngine(tasks).run()) == _rows(
+                [run_device(tasks[0])]
             )
-        message = str(err.value)
-        assert "csv-straggler" in message
-        assert "csv" in message  # the reason, not just the name
 
-    def test_engine_batched_error_names_every_offender(self):
-        """Two ineligible devices with *different* blockers: the error
-        must carry both names, each paired with its own reason — one
-        offender must not shadow the next."""
-        spec = SCENARIOS.build("dev-smoke", num_devices=1)
-        csv_dev = DeviceSpec(
-            name="csv-straggler",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
+    def test_csv_devices_run_in_the_engine(self):
+        """Measured-trace replays (one- and two-column files, both
+        execution models) batch like any seeded trace."""
+        one, two = CSV_1COL, CSV_2COL
+        devices = [
+            DeviceSpec(name=f"csv-{i}", trace=trace, execution=execution,
+                       events={"kind": "uniform", "count": 15})
+            for i, (trace, execution) in enumerate([
+                ({"family": "csv", "path": one, "dt": 1.0}, "single-cycle"),
+                ({"family": "csv", "path": two}, "single-cycle"),
+                ({"family": "csv", "path": one, "dt": 0.5}, "intermittent"),
+                ({"family": "csv", "path": two}, "intermittent"),
+            ])
+        ]
+        tasks = [(i, d, 13) for i, d in enumerate(devices)]
+        assert _rows(BatchedFleetEngine(tasks).run()) == _rows(
+            run_device(t) for t in tasks
         )
-        from repro.runtime.incremental import ThresholdContinue
 
-        rule_dev = DeviceSpec(
-            name="rule-straggler",
-            trace={"family": "constant", "power_mw": 0.05, "duration": 50.0},
-            controller={
-                "kind": "greedy",
-                "reserve_fraction": 0.1,
-                "continue_rule": ThresholdContinue(0.5),
-            },
-        )
-        mixed = FleetSpec(
-            name="mixed2", seed=3,
-            devices=list(spec.devices) + [csv_dev, rule_dev],
-        )
-        with pytest.raises(ConfigError) as err:
-            run_device_batch(
-                [(i, d, mixed.seed) for i, d in enumerate(mixed.devices)],
-                engine="batched",
-            )
-        message = str(err.value)
-        assert "csv-straggler" in message and "csv" in message
-        assert "rule-straggler" in message and "continue_rule" in message
+    def test_live_continue_rule_is_a_config_error(self):
+        """A live rule object would be shared (and trained) by every
+        device built from the spec, and has no JSON form for the spec
+        digest: DeviceSpec refuses it, naming the device."""
+        from repro.runtime.incremental import IncrementalDecider, ThresholdContinue
 
-    def test_engine_auto_splits_and_merges_in_index_order(self):
-        spec = SCENARIOS.build("mixed-harvester-city", num_devices=12)
-        result = FleetRunner(spec, workers=1, engine="auto").run()
-        assert [d.index for d in result.devices] == list(range(12))
+        for rule in (ThresholdContinue(0.5), IncrementalDecider(rng=0)):
+            with pytest.raises(ConfigError, match="live-rule.*continue_rule"):
+                DeviceSpec(
+                    name="live-rule",
+                    trace={"family": "constant", "power_mw": 0.05,
+                           "duration": 50.0},
+                    controller={"kind": "greedy", "continue_rule": rule},
+                )
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            FleetRunner(SCENARIOS.build("dev-smoke"), engine="warp")
-        with pytest.raises(ConfigError, match="engine"):
-            run_device_batch([], engine="warp")
-
-    def test_engine_ctor_raises_on_ineligible_task(self):
-        bad = DeviceSpec(
-            name="csv-dev",
-            trace={"family": "csv", "path": "nope.csv", "dt": 1.0},
-        )
-        with pytest.raises(ConfigError, match="batch-eligible"):
-            BatchedFleetEngine([(0, bad, 7)])
+        for engine in ("warp", "auto"):
+            with pytest.raises(ConfigError, match="engine"):
+                FleetRunner(SCENARIOS.build("dev-smoke"), engine=engine)
+            with pytest.raises(ConfigError, match="engine"):
+                run_device_batch([], engine=engine)
 
 
 class TestRunDeviceBatch:
     def test_matches_per_device_loop(self):
         spec = SCENARIOS.build("dev-smoke", num_devices=5)
         tasks = [(i, d, spec.seed) for i, d in enumerate(spec.devices)]
-        batch = run_device_batch(tasks, engine="auto")
+        batch = run_device_batch(tasks)
         loop = [run_device(t) for t in tasks]
         assert json.dumps([r.to_dict() for r in batch], sort_keys=True) == \
             json.dumps([r.to_dict() for r in loop], sort_keys=True)
@@ -352,8 +307,9 @@ class TestParallelFallback:
         assert _payload(result) == _payload(FleetRunner(spec).run())
 
 
-#: Trace families with cheap synthesis for the property test.
-_FAMILY = st.sampled_from(["solar", "rf", "piezo", "constant"])
+#: Trace families with cheap synthesis for the property test, plus the
+#: tracked csv files.
+_FAMILY = st.sampled_from(["solar", "rf", "piezo", "constant", "csv"])
 _PRESET = st.sampled_from(sorted(CONTROLLER_PRESETS))
 _RULE = st.sampled_from(
     [
@@ -380,6 +336,12 @@ def tiny_fleets(draw):
             trace["power_mw"] = draw(st.sampled_from([0.01, 0.04]))
         elif family == "solar":
             trace["peak_mw"] = 0.03
+        elif family == "csv":
+            trace = draw(st.sampled_from([
+                {"family": "csv", "path": CSV_1COL, "dt": 1.0},
+                {"family": "csv", "path": CSV_1COL, "dt": 0.25},
+                {"family": "csv", "path": CSV_2COL},
+            ]))
         events = draw(
             st.sampled_from(
                 [{"kind": "uniform", "count": 12}, {"kind": "poisson", "rate_hz": 0.05}]
@@ -436,10 +398,8 @@ class TestFullScaleBatch:
     ):
         spec = SCENARIOS.build("city-block-1k")
         assert spec.num_devices == 1000
-        # Strict engine="batched": since PR 5 every city-block device
-        # (including the intermittent baselines) is batch-eligible.
         serial = FleetRunner(spec, workers=1, engine="batched").run()
-        parallel = FleetRunner(spec, workers=4, engine="auto").run()
+        parallel = FleetRunner(spec, workers=4).run()
         assert serial.num_devices == 1000
         assert _payload(serial) == _payload(parallel)
 
@@ -447,7 +407,7 @@ class TestFullScaleBatch:
         """Spot-check the engines against each other at real scale on a
         slice (full 1000-device double-run would double the lane's cost)."""
         spec = SCENARIOS.build("city-block-1k", num_devices=64)
-        assert _payload(FleetRunner(spec, engine="auto").run()) == _payload(
+        assert _payload(FleetRunner(spec).run()) == _payload(
             FleetRunner(spec, engine="device").run()
         )
 
@@ -459,7 +419,7 @@ class TestFullScaleBatch:
         run, serial == parallel, and an engine cross-check on a slice."""
         spec = SCENARIOS.build(name)
         serial = FleetRunner(spec, workers=1, engine="batched").run()
-        parallel = FleetRunner(spec, workers=4, engine="auto").run()
+        parallel = FleetRunner(spec, workers=4).run()
         assert _payload(serial) == _payload(parallel)
         small = SCENARIOS.build(name, num_devices=32)
         assert _payload(FleetRunner(small, engine="batched").run()) == \

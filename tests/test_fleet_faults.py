@@ -144,6 +144,23 @@ class TestSerialChaos:
         # one dispatch attempt, no retries
         assert injector.occurrences("fleet.chunk") == 1
 
+    @pytest.mark.parametrize("path", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_csv_is_a_config_error_not_a_retry(self, tmp_path, path):
+        """A csv trace that cannot be read is a spec problem: it must
+        raise at once, not walk the ladder into a quarantine that leaves
+        a "finished" fleet with no devices."""
+        bad = DeviceSpec(
+            name="csv-dev",
+            trace={"family": "csv", "path": str(tmp_path / path), "dt": 1.0},
+        )
+        spec = FleetSpec(name="bad-csv", seed=1, devices=[tiny_device("ok"), bad])
+        with recording(Recorder(metrics=True)) as rec:
+            with pytest.raises(ConfigError, match="cannot read CSV"):
+                FleetRunner(spec, retry=FAST).run()
+        counters = rec.metrics.names()["counters"]
+        assert not [name for name in counters if name.startswith("fleet.retry.")]
+        assert rec.metrics.counter_value("fleet.devices.quarantined") == 0
+
     def test_quarantine_after_ladder_exhausted(self):
         spec = tiny_fleet(n=1, seed=3)
         # Retry budget 0 → attempts: chunk (occurrence 0) then the final
@@ -229,7 +246,7 @@ class TestSerialChaos:
         clean = run_clean(spec)
         calls = []
 
-        def flaky(tasks, engine="auto"):
+        def flaky(tasks, engine="batched"):
             calls.append(len(tasks))
             if len(calls) == 1:
                 raise OSError("transient")

@@ -137,15 +137,28 @@ def test_query_before_finished_is_an_error():
         twin.query("nonsense")
 
 
-def test_ineligible_devices_are_named():
-    """Gateway twins are lockstep-only: csv traces must fail loudly."""
+def test_ineligible_devices_are_named(tmp_path):
+    """The gateway's create and submit verbs refuse csv traces: a client
+    must not make the server open its files.  The error names each
+    device and quotes nothing of the file."""
+    secret = tmp_path / "secret.txt"
+    secret.write_text("root:x:0:0:do-not-leak\n")
     spec = SCENARIOS.build("dev-smoke")
     devices = [d.to_dict() for d in spec.devices]
-    devices[0]["trace"] = {"family": "csv", "path": "does-not-matter.csv"}
-    with pytest.raises(ConfigError, match=devices[0]["name"]):
-        FleetTwin.from_spec(
-            {"name": "bad", "seed": 1, "devices": devices}
-        )
+    devices[1]["trace"] = {"family": "csv", "path": str(secret), "dt": 1.0}
+    with pytest.raises(ConfigError) as err:
+        FleetTwin.create({"name": "bad", "seed": 1, "devices": devices})
+    message = str(err.value)
+    assert f"{devices[1]['name']}[1]" in message
+    assert "server-side files" in message
+    assert "do-not-leak" not in message and "root:x" not in message
+    twin = FleetTwin.create({"name": "ok", "seed": 1, "devices": devices[:1]})
+    with pytest.raises(ConfigError) as err:
+        twin.submit(devices[1:])
+    assert f"{devices[1]['name']}[1]" in str(err.value)
+    assert "do-not-leak" not in str(err.value)
+    assert twin.num_devices == 1
+    assert [op["op"] for op in twin.journal] == ["create"]
 
 
 def test_advance_rejects_negative_steps():

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.errors import GatewayError
+from repro.errors import ConfigError, GatewayError
 from repro.faults import FaultPlan, chaos
 from repro.faults.plan import Fault
 from repro.fleet import SCENARIOS, FleetRunner
@@ -196,6 +196,21 @@ def test_error_envelopes_rebuild_repro_exceptions():
             with pytest.raises(GatewayError, match="mid-run|aggregates"):
                 gw.advance("dev-smoke", steps=1)
                 gw.query("dev-smoke", "aggregate")
+
+
+def test_create_over_the_wire_refuses_csv_traces(tmp_path):
+    """A remote spec naming a server-side file is refused before the
+    file is opened, so the error cannot quote its content."""
+    secret = tmp_path / "secret.txt"
+    secret.write_text("root:x:0:0:do-not-leak\n")
+    spec = SCENARIOS.build("dev-smoke").to_dict()
+    spec["devices"][0]["trace"] = {"family": "csv", "path": str(secret), "dt": 1.0}
+    with live_server() as server:
+        with _client_for(server) as gw:
+            with pytest.raises(ConfigError, match="server-side files") as err:
+                gw.create(spec=spec)
+            assert "do-not-leak" not in str(err.value)
+            assert gw.call("fleets")["fleets"] == []
 
 
 def test_gateway_metrics_and_spans():

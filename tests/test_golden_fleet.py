@@ -33,6 +33,14 @@ is intentional, regenerate every golden with::
     EOF
 
 and say why in the commit message — a silent regeneration defeats the net.
+
+``golden/csv_fleet.json`` pins a measured-trace replay instead of a
+scenario: the spec file it names (``tests/data/csv_fleet.json``, csv
+paths relative to the repo root) puts one- and two-column csv traces on
+single-cycle and intermittent devices.  Its aggregate was recorded with
+the per-device simulator, before the lockstep engine took csv traces, so
+the engine is checked against an independent oracle.  Its name keeps it
+out of the ``fleet_*.json`` glob.
 """
 
 import glob
@@ -41,10 +49,14 @@ import os
 
 import pytest
 
-from repro.fleet import SCENARIOS, FleetRunner
+from repro.fleet import SCENARIOS, FleetRunner, FleetSpec
+from repro.fleet.shards import FleetShardSource, run_sharded
+from repro.gateway import FleetTwin
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(TESTS_DIR, "golden")
 GOLDEN_FILES = sorted(glob.glob(os.path.join(GOLDEN_DIR, "fleet_*.json")))
+CSV_GOLDEN = os.path.join(GOLDEN_DIR, "csv_fleet.json")
 
 
 def _load(path):
@@ -98,3 +110,43 @@ def test_goldens_exist_for_every_scenario():
     """Adding a scenario to the registry requires committing its golden."""
     covered = {_load(p)["scenario"] for p in GOLDEN_FILES}
     assert covered == set(SCENARIOS.names())
+
+
+@pytest.fixture
+def csv_golden(monkeypatch):
+    """``(spec, golden aggregate)`` of the csv replay, run from the repo
+    root so the spec's relative csv paths resolve."""
+    monkeypatch.chdir(os.path.dirname(TESTS_DIR))
+    golden = _load(CSV_GOLDEN)
+    return FleetSpec.from_json(golden["spec"]), golden["aggregate"]
+
+
+@pytest.mark.parametrize("engine", ["batched", "device"])
+def test_csv_golden_engines(csv_golden, engine):
+    spec, aggregate = csv_golden
+    result = FleetRunner(spec, engine=engine).run()
+    assert json.loads(json.dumps(result.aggregate())) == aggregate
+
+
+def test_csv_golden_parallel(csv_golden, force_parallel):
+    spec, aggregate = csv_golden
+    result = FleetRunner(spec, workers=2).run()
+    assert json.loads(json.dumps(result.aggregate())) == aggregate
+
+
+def test_csv_golden_sharded(csv_golden, tmp_path):
+    spec, aggregate = csv_golden
+    result = run_sharded(
+        FleetShardSource(spec), str(tmp_path / "ledger"), shards=3, workers=2
+    )
+    assert json.loads(json.dumps(result.aggregate())) == aggregate
+
+
+def test_csv_golden_gateway_incremental(csv_golden):
+    """In-process twins replay csv traces (only the gateway's create and
+    submit verbs refuse them)."""
+    spec, aggregate = csv_golden
+    twin = FleetTwin.from_spec(spec.to_dict())
+    while not twin.finished:
+        twin.advance(2)
+    assert json.loads(json.dumps(twin.query("aggregate"))) == aggregate

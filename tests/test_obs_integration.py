@@ -52,7 +52,7 @@ def _golden_id(path):
 
 
 @pytest.mark.parametrize("path", OBS_GOLDENS, ids=_golden_id)
-@pytest.mark.parametrize("engine", ["auto", "batched", "device"])
+@pytest.mark.parametrize("engine", ["batched", "device"])
 def test_goldens_bit_identical_with_obs_on(path, engine, tmp_path):
     golden = _load_golden(path)
     spec = SCENARIOS.build(golden["scenario"], **golden["overrides"])
@@ -96,12 +96,12 @@ def test_fleet_outcome_metrics_describe_the_run():
     assert m.counter_value("fleet.events.missed") == agg["missed"]
     assert m.histogram("fleet.device.iepmj").count == agg["devices"]
     assert m.histogram("span.fleet.run.s").count == 1
-    assert m.gauge_value("fleet.engine") == "auto"
+    assert m.gauge_value("fleet.engine") == "batched"
     assert m.gauge_value("fleet.parallel") is False
-    # Engine-selection telemetry: every registered scenario has been
-    # fully batch-eligible since PR 5.
-    assert m.counter_value("fleet.devices.batched") == agg["devices"]
-    assert m.counter_value("fleet.devices.fallback") == 0
+    # One engine for every device: no engine-selection counters.
+    counters = m.names()["counters"]
+    assert "fleet.devices.batched" not in counters
+    assert not [c for c in counters if c.startswith("fleet.fallback")]
 
 
 def test_parent_outcome_metrics_identical_serial_vs_pool(force_parallel):
@@ -209,12 +209,17 @@ def test_fleet_cli_parallel_metrics_match_serial(tmp_path, capsys, force_paralle
 
 
 def test_fleet_cli_explain(capsys):
-    code = fleet_main(["run", "dev-smoke", "--explain"])
+    """One summary: the device mix by execution mode and controller
+    kind, and which engine runs it — nothing is simulated."""
+    code = fleet_main(["run", "mixed-harvester-city", "--devices", "12", "--explain"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "engine selection" in out
-    assert "batched lockstep" in out
-    assert "0 per-device fallback(s)" in out
+    assert "12 devices, --engine batched: one lockstep engine" in out
+    assert "      2  intermittent  fixed" in out
+    assert "     10  single-cycle" in out
+    assert "fallback" not in out and "wrote" not in out
+    assert fleet_main(["run", "dev-smoke", "--explain", "--engine", "device"]) == 0
+    assert "one simulator per device" in capsys.readouterr().out
 
 
 def test_fleet_cli_obs_off_writes_nothing(tmp_path, capsys):
@@ -260,7 +265,7 @@ def test_cell_timing_checkpointed_but_stripped_from_report(tmp_path):
     for cell in spec.cells():
         timing = store.load_cell(cell.key)["timing"]
         assert timing["wall_s"] > 0
-        assert timing["engine"] in ("auto", "batched", "device")
+        assert timing["engine"] == "batched"
         assert timing["workers"] >= 1
     # The aggregated report never carries wall-clock content (the resume
     # byte-identity contract) ...

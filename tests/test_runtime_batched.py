@@ -13,7 +13,6 @@ from repro.runtime.batched import (
     ThresholdRuleBatch,
     batch_continue_rules,
     batch_controllers,
-    batchable,
     discretize_batch,
 )
 from repro.runtime.controller import StaticController, make_controller
@@ -158,6 +157,14 @@ class TestGroupDecisions:
             assert group._epsilon[i] == c.qtable.epsilon
 
 
+def _one_group(controller):
+    """batch_controllers over one controller: its single group's index."""
+    _, group_of = batch_controllers(
+        [controller], np.tile(np.asarray(COSTS), (1, 1))
+    )
+    return int(group_of[0])
+
+
 class TestBatchability:
     def test_presets_are_batchable(self):
         for kind, params in (
@@ -166,7 +173,7 @@ class TestBatchability:
         ):
             c = make_controller(kind, 4, exit_energies_mj=COSTS,
                                 capacity_mj=2.0, rng=0, **params)
-            assert batchable(c)
+            assert _one_group(c) == 0
 
     def test_continue_rules_are_batchable(self):
         for rule in (
@@ -178,23 +185,26 @@ class TestBatchability:
                 "greedy", 4, exit_energies_mj=COSTS, capacity_mj=2.0,
                 rng=3, continue_rule=rule,
             )
-            assert batchable(c)
+            assert _one_group(c) == 0
+            groups, _ = batch_continue_rules([c], max_steps=3)
+            assert len(groups) == 1
 
     def test_rule_sharing_the_exit_table_generator_is_not_batchable(self):
         """One Generator feeding both pooled-draw streams cannot be
-        replayed per table; such controllers stay on the scalar path."""
+        replayed per table, so grouping refuses it.  (No fleet spec can
+        build one: DeviceSpec takes declarative rules only.)"""
         gen = np.random.default_rng(0)
         c = make_controller(
             "qlearning", 4, rng=gen,
             continue_rule=IncrementalDecider(rng=gen),
         )
-        assert not batchable(c)
+        with pytest.raises(ConfigError, match="cannot be batched"):
+            _one_group(c)
 
     def test_unknown_policy_is_not_batchable(self):
         c = StaticController(OraclePolicy(COSTS, [], None, 2.0))
-        assert not batchable(c)
         with pytest.raises(ConfigError, match="cannot be batched"):
-            batch_controllers([c], np.tile(np.asarray(COSTS), (1, 1)))
+            _one_group(c)
 
     def test_groups_partition_by_family(self):
         controllers = [
